@@ -17,12 +17,10 @@ from .blocks import (
     LorenzParams,
     Saturation,
     VectorField,
-    alpha_eval,
     compose_autonomous,
+    compose_cascade,
     compose_example1,
     compose_example2,
-    compose_general,
-    compose_interpolated,
     filter_one,
     lorenz_field,
     stable_linear_field,
@@ -36,7 +34,6 @@ from .diagnostics import (
     VerdictRecord,
     classify_response,
     detect_steady_state,
-    entrainment_verdict,
     lyapunov_max,
     monte_carlo,
     tail_stats,
@@ -63,16 +60,16 @@ __all__ = [
     "LtiSystem", "transfer_eval", "has_zero_at_origin", "sinusoid_steady_state",
     # blocks
     "Saturation", "LorenzParams", "VectorField", "ComposedSystem",
-    "alpha_eval", "filter_one", "lorenz_field", "stable_linear_field",
-    "compose_example1", "compose_example2", "compose_general",
-    "compose_interpolated", "compose_autonomous",
+    "filter_one", "lorenz_field", "stable_linear_field",
+    "compose_example1", "compose_example2", "compose_cascade",
+    "compose_autonomous",
     # solver
     "IntegratorConfig", "Trajectory", "integrate", "integrate_pair",
     "IntegrationError", "StiffnessError", "DivergenceError", "StepBudgetError",
     # diagnostics
     "SteadyStateReport", "LyapunovEstimate", "TailStats", "VerdictRecord",
     "MonteCarloRow", "detect_steady_state", "lyapunov_max", "tail_stats",
-    "classify_response", "entrainment_verdict", "monte_carlo",
+    "classify_response", "monte_carlo",
     # scenarios
     "ScenarioSpec", "build_system", "build_reference_system", "default_spec",
     # cli

@@ -9,13 +9,15 @@ dz/dt = f(z).
 ``compose_example1`` and ``compose_example2`` are the two concrete 5-state
 instances used throughout (the second replaces the overall p factor with
 p-modulated coefficients so that p = 0 leaves a stable linear system).
-``compose_general`` and ``compose_interpolated`` build the same cascade
-around arbitrary ingredient blocks.
+They are the paper's equations written out by hand, and the fast path.
+``compose_cascade`` builds the same cascade around arbitrary ingredient
+blocks; with the bundled blocks it reproduces example1 bit for bit and
+example2 to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,18 +29,15 @@ __all__ = [
     "LorenzParams",
     "VectorField",
     "ComposedSystem",
-    "alpha_eval",
-    "lag_rhs",
     "lorenz_rhs",
     "lorenz_field",
     "stable_linear_field",
     "filter_one",
+    "EXAMPLE_STATE_NAMES",
     "compose_example1",
     "compose_example2",
-    "compose_general",
-    "compose_interpolated",
+    "compose_cascade",
     "compose_autonomous",
-    "rename_states",
 ]
 
 
@@ -116,16 +115,6 @@ class ComposedSystem:
             ) from None
 
 
-def alpha_eval(sat: Saturation, y: float) -> float:
-    """Evaluate the saturation at y."""
-    return sat(y)
-
-
-def lag_rhs(p: float, w: float) -> float:
-    """Scalar averaging lag dp/dt = -p + w."""
-    return -p + w
-
-
 def lorenz_rhs(params: LorenzParams, z: np.ndarray) -> np.ndarray:
     """Lorenz right-hand side at z = (xi, psi, zeta)."""
     xi, psi, zeta = z
@@ -153,6 +142,10 @@ def stable_linear_field() -> VectorField:
 def filter_one() -> LtiSystem:
     """The concrete front end dx/dt = -x - u, y = x + u, i.e. W(s) = s/(s+1)."""
     return LtiSystem(A=[[-1.0]], B=[-1.0], C=[1.0], D=1.0)
+
+
+# column names of the two concrete 5-state examples
+EXAMPLE_STATE_NAMES = ("x", "p", "xi", "psi", "zeta")
 
 
 def _cascade_layout(n: int, zdim: int) -> tuple[dict, tuple]:
@@ -189,13 +182,8 @@ def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> C
             p * (xi * psi - b * zeta),
         ])
 
-    return ComposedSystem(
-        dim=5,
-        rhs=rhs,
-        layout={"x": (0,), "p": (1,), "z": (2, 3, 4)},
-        state_names=("x", "p", "xi", "psi", "zeta"),
-        scenario_id="example1",
-    )
+    return ComposedSystem(dim=5, rhs=rhs, layout=_cascade_layout(1, 3)[0],
+                          state_names=EXAMPLE_STATE_NAMES, scenario_id="example1")
 
 
 def compose_example2(K: float = 1e-4) -> ComposedSystem:
@@ -223,16 +211,11 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
             p * xi * psi - (8.0 / 3.0) * zeta,
         ])
 
-    return ComposedSystem(
-        dim=5,
-        rhs=rhs,
-        layout={"x": (0,), "p": (1,), "z": (2, 3, 4)},
-        state_names=("x", "p", "xi", "psi", "zeta"),
-        scenario_id="example2",
-    )
+    return ComposedSystem(dim=5, rhs=rhs, layout=_cascade_layout(1, 3)[0],
+                          state_names=EXAMPLE_STATE_NAMES, scenario_id="example2")
 
 
-def _check_front_end(filter1: LtiSystem) -> None:
+def _check_filter(filter1: LtiSystem) -> None:
     if not filter1.is_hurwitz:
         raise ValueError(
             "front-end filter must be Hurwitz, otherwise constant inputs never settle"
@@ -245,42 +228,21 @@ def _check_front_end(filter1: LtiSystem) -> None:
         )
 
 
-def compose_general(filter1: LtiSystem, sat: Saturation, field: VectorField) -> ComposedSystem:
-    """Assemble the full cascade around arbitrary blocks: dz = p f(z)."""
-    _check_front_end(filter1)
-    n, zdim = filter1.n, field.dim
-    A, B, C, D = filter1.A, filter1.B, filter1.C, filter1.D
-    f = field.rhs
-    np_idx = n  # p sits right after the filter states
+def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
+                    f0: VectorField | None = None) -> ComposedSystem:
+    """Assemble the full cascade around arbitrary blocks: dz = p f1(z), or
+    dz = p f1(z) + (1 - p) f0(z) when ``f0`` is given.
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x = state[:n]
-        p = state[np_idx]
-        z = state[np_idx + 1:]
-        y = float(C @ x) + D * u
-        out = np.empty_like(state)
-        out[:n] = A @ x + B * u
-        out[np_idx] = -p + sat(y)
-        out[np_idx + 1:] = p * f(z)
-        return out
-
-    layout, names = _cascade_layout(n, zdim)
-    return ComposedSystem(dim=n + 1 + zdim, rhs=rhs, layout=layout,
-                          state_names=names, scenario_id="general")
-
-
-def compose_interpolated(filter1: LtiSystem, sat: Saturation,
-                         f0: VectorField, f1: VectorField) -> ComposedSystem:
-    """Cascade whose tail blends two dynamics: dz = p f1(z) + (1 - p) f0(z).
-
-    Constant inputs drive p to 0 and hand z to f0; a sinusoid keeps p near 1
-    and hands z to f1.
+    With ``f0``, constant inputs drive p to 0 and hand z to f0; a sinusoid
+    keeps p near 1 and hands z to f1.
     """
-    if f0.dim != f1.dim:
+    if f0 is not None and f0.dim != f1.dim:
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")
-    _check_front_end(filter1)
-    n, zdim = filter1.n, f0.dim
+    _check_filter(filter1)
+    n, zdim = filter1.n, f1.dim
     A, B, C, D = filter1.A, filter1.B, filter1.C, filter1.D
+    g1 = f1.rhs
+    g0 = None if f0 is None else f0.rhs
 
     def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
         x = state[:n]
@@ -290,12 +252,12 @@ def compose_interpolated(filter1: LtiSystem, sat: Saturation,
         out = np.empty_like(state)
         out[:n] = A @ x + B * u
         out[n] = -p + sat(y)
-        out[n + 1:] = p * f1.rhs(z) + (1.0 - p) * f0.rhs(z)
+        out[n + 1:] = p * g1(z) if g0 is None else p * g1(z) + (1.0 - p) * g0(z)
         return out
 
     layout, names = _cascade_layout(n, zdim)
-    return ComposedSystem(dim=n + 1 + zdim, rhs=rhs, layout=layout,
-                          state_names=names, scenario_id="interpolated")
+    return ComposedSystem(dim=n + 1 + zdim, rhs=rhs, layout=layout, state_names=names,
+                          scenario_id="general" if f0 is None else "interpolated")
 
 
 def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> ComposedSystem:
@@ -314,10 +276,3 @@ def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> C
         state_names=tuple(f"z{i}" for i in range(field.dim)),
         scenario_id=scenario_id,
     )
-
-
-def rename_states(sys: ComposedSystem, names: tuple[str, ...],
-                  scenario_id: str | None = None) -> ComposedSystem:
-    """Copy of a system with friendlier column names (and optionally a new id)."""
-    return replace(sys, state_names=names,
-                   scenario_id=sys.scenario_id if scenario_id is None else scenario_id)

@@ -5,7 +5,7 @@ Subcommands:
 - ``simulate``   integrate a scenario, write trajectory CSV + JSON report
 - ``lyapunov``   estimate the largest Lyapunov exponent, print JSON
 - ``montecarlo`` seeded sweep over random inputs/ICs, write verdicts JSONL
-- ``freqresp``   tabulate the front-end filter's frequency response
+- ``freqresp``   tabulate the shared front-end filter's frequency response
 
 Exit codes: 0 success, 2 bad arguments, 3 integration failure (the message
 names the last time the integrator reached). ``--out-dir`` defaults to the
@@ -29,14 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blocks import filter_one
 from .diagnostics import (
     detect_steady_state,
     lyapunov_max,
     monte_carlo,
     tail_stats,
 )
-from .lti import has_zero_at_origin, transfer_eval
-from .scenarios import DEFAULT_K, SCENARIO_IDS, build_reference_system, build_system, default_spec
+from .lti import has_zero_at_origin, sinusoid_steady_state, transfer_eval
+from .scenarios import SCENARIO_IDS, build_reference_system, build_system, default_spec
 from .signals import parse_input_spec
 from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate
 
@@ -165,7 +166,7 @@ def _cmd_simulate(args) -> int:
     spec = default_spec(args.scenario)
     params = {
         "scenario": args.scenario,
-        "K": DEFAULT_K[args.scenario] if args.K is None else args.K,
+        "K": spec.K if args.K is None else args.K,
         "input": spec.input_spec if args.input is None else args.input,
         "x0": list(spec.x0) if args.x0 is None else list(_parse_x0(args.x0)),
         "t_start": args.t_start,
@@ -185,8 +186,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lyapunov(args) -> int:
-    cfg = IntegratorConfig(method=args.method, rel_tol=args.rel_tol,
-                           abs_tol=args.abs_tol)
+    cfg = _config_from(vars(args))
     if args.system is not None:
         sys_obj, x0_default = build_reference_system(args.system)
         signal = parse_input_spec("const:0")
@@ -205,9 +205,7 @@ def _cmd_lyapunov(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     rows = monte_carlo(args.scenario, args.n, seed=args.seed, jobs=args.jobs,
-                       cfg=IntegratorConfig(method=args.method,
-                                            rel_tol=args.rel_tol,
-                                            abs_tol=args.abs_tol))
+                       cfg=_config_from(vars(args)))
     out = _out_dir(args)
     path = out / "verdicts.jsonl"
     with open(path, "w", newline="\n") as fh:
@@ -227,16 +225,13 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_freqresp(args) -> int:
-    from .scenarios import front_end
-
-    filt = front_end(args.scenario)
+    filt = filter_one()
     zero = has_zero_at_origin(filt)
     w0 = abs(transfer_eval(filt, 0.0))
     print(f"zero at origin: {'yes' if zero else 'no'} (|W(0)| = {w0:.3e})")
     print("omega,magnitude,phase")
     for omega in np.logspace(-2, 2, 41):
-        mag, phase = abs(transfer_eval(filt, 1j * omega)), np.angle(
-            transfer_eval(filt, 1j * omega))
+        mag, phase = sinusoid_steady_state(filt, omega)
         print(f"{omega:.6g},{mag:.10g},{phase:.10g}")
     return 0
 
@@ -291,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.set_defaults(func=_cmd_montecarlo)
 
     fr = sub.add_parser("freqresp", help="front-end filter frequency response")
-    fr.add_argument("--scenario", choices=SCENARIO_IDS, default="example1")
+    fr.add_argument("--scenario", choices=SCENARIO_IDS, default="example1",
+                    help="any scenario: all share filter_one(), W(s) = s/(s+1)")
     fr.set_defaults(func=_cmd_freqresp)
 
     return parser

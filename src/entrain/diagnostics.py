@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
-from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate, pair_system
 
 __all__ = [
     "SteadyStateReport",
@@ -29,7 +29,6 @@ __all__ = [
     "lyapunov_max",
     "tail_stats",
     "classify_response",
-    "entrainment_verdict",
     "monte_carlo",
     "VERDICT_STEADY_STATE",
     "VERDICT_OSCILLATION",
@@ -152,23 +151,8 @@ def tail_stats(
     )
 
 
-def _joint_system(sys: ComposedSystem) -> ComposedSystem:
-    n = sys.dim
-
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        out = np.empty_like(state)
-        out[:n] = sys.rhs(t, state[:n], u)
-        out[n:] = sys.rhs(t, state[n:], u)
-        return out
-
-    return ComposedSystem(
-        dim=2 * n,
-        rhs=rhs,
-        layout={"z": tuple(range(2 * n))},
-        state_names=tuple(f"a{i}" for i in range(n))
-        + tuple(f"b{i}" for i in range(n)),
-        scenario_id=sys.scenario_id,
-    )
+class _PerturbationCollapsed(ValueError):
+    """The perturbed copy landed bitwise on the reference: no exponent."""
 
 
 def lyapunov_max(
@@ -207,11 +191,13 @@ def lyapunov_max(
         )
     if not 0.0 <= transient < horizon:
         raise ValueError("need 0 <= transient < horizon")
+    if not sys.z_indices():
+        raise ValueError(f"system {sys.scenario_id!r} has no 'z' block to perturb")
 
     x0 = np.asarray(x0, dtype=float)
     n = sys.dim
     z_first = sys.z_indices()[0]
-    joint = _joint_system(sys)
+    joint = pair_system(sys)
 
     state = np.concatenate([x0, x0])
     state[n + z_first] += d0
@@ -228,7 +214,7 @@ def lyapunov_max(
         delta = state[n:] - state[:n]
         d = float(np.linalg.norm(delta))
         if d == 0.0:
-            raise ValueError(
+            raise _PerturbationCollapsed(
                 "perturbation collapsed to exactly zero; cannot renormalize"
             )
         if t_next > transient + 1e-12:
@@ -256,8 +242,10 @@ class VerdictRecord:
     """Verdict plus the evidence behind it.
 
     ``lyapunov`` is None when the steady-state test already settled the
-    verdict (or when the Lyapunov run diverged); ``trajectory`` is the run
-    the steady-state test saw.
+    verdict, when the Lyapunov run diverged, or when its perturbation
+    collapsed to exactly zero; in the last case a converged steady-state
+    test gives the verdict, and otherwise it is inconclusive.
+    ``trajectory`` is the run the steady-state test saw.
     """
 
     verdict: str
@@ -282,7 +270,8 @@ def classify_response(
     Verdict rule: steady_state if the tail is asymptotically constant;
     otherwise chaotic_like when lambda_max > 0.05, sustained_oscillation
     when |lambda_max| <= 0.05, and inconclusive when the tail keeps moving
-    yet the exponent reads clearly negative (diagnostics disagree).
+    yet the exponent reads clearly negative (diagnostics disagree) or the
+    exponent could not be measured because the perturbation collapsed.
     A diverging run yields the "divergence" verdict rather than an
     exception.
     """
@@ -302,9 +291,13 @@ def classify_response(
         except IntegrationError:
             if not steady.converged:
                 return VerdictRecord(VERDICT_DIVERGENCE, steady, None, traj)
+        except _PerturbationCollapsed:
+            pass
 
     if steady.converged:
         verdict = VERDICT_STEADY_STATE
+    elif estimate is None:
+        verdict = VERDICT_INCONCLUSIVE
     elif estimate.lambda_max > CHAOS_THRESHOLD:
         verdict = VERDICT_CHAOTIC
     elif abs(estimate.lambda_max) <= CHAOS_THRESHOLD:
@@ -312,17 +305,6 @@ def classify_response(
     else:
         verdict = VERDICT_INCONCLUSIVE
     return VerdictRecord(verdict, steady, estimate, traj)
-
-
-def entrainment_verdict(
-    sys: ComposedSystem,
-    input_signal: InputSignal,
-    x0: np.ndarray,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    **kwargs,
-) -> str:
-    """Classify the forced response; see ``classify_response`` for the rule."""
-    return classify_response(sys, input_signal, x0, cfg, **kwargs).verdict
 
 
 @dataclass(frozen=True)
@@ -373,7 +355,8 @@ def _leg(sys, input_signal, x0, cfg):
 
 def _mc_sample(task) -> MonteCarloRow:
     sample, scenario, u0, x0, cfg = task
-    from .scenarios import build_system  # deferred: keeps workers light
+    # imported at call time, so forked pool workers see a patched build_system
+    from .scenarios import build_system
 
     sys = build_system(scenario)
     v_const, lam_const, p_const, final_const = _leg(sys, Constant(u0), x0, cfg)

@@ -1,84 +1,101 @@
 """Named scenario presets: canonical systems, initial conditions, inputs.
 
-Each preset bundles everything a demo run needs — the composed system, the
-reference initial state, a default input and horizon — so the standard
-experiments are one command. ``example2`` additionally records the two
-constant input magnitudes (5.13 and 1.89) that appear among its
-randomly-drawn reference values; 5.13 is the one the demo panels use.
+Each preset bundles everything a demo run needs — how to build the
+composed system, its saturation constant, the reference initial state, a
+default input and horizon — in one table row, so the standard experiments
+are one command. ``example2`` additionally records the two constant input
+magnitudes (5.13 and 1.89) that appear among its randomly-drawn reference
+values; 5.13 is the one the demo panels use. Every bundled scenario puts
+the same front end, ``filter_one()``, before the saturation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .blocks import (
+    EXAMPLE_STATE_NAMES,
     ComposedSystem,
     LorenzParams,
     Saturation,
     compose_autonomous,
+    compose_cascade,
     compose_example1,
     compose_example2,
-    compose_general,
-    compose_interpolated,
     filter_one,
     lorenz_field,
-    rename_states,
     stable_linear_field,
 )
-from .solver import IntegratorConfig
 
 __all__ = [
     "ScenarioSpec",
     "SCENARIO_IDS",
-    "DEFAULT_K",
     "build_system",
     "build_reference_system",
     "default_spec",
-    "front_end",
 ]
-
-SCENARIO_IDS = ("example1", "example2", "interp-lorenz", "general")
-
-DEFAULT_K = {
-    "example1": 0.1,
-    "example2": 1e-4,
-    "interp-lorenz": 1e-4,
-    "general": 0.1,
-}
-
-_CASCADE_NAMES = ("x", "p", "xi", "psi", "zeta")
-
-# Reference initial states: the two 5-state demo systems each have a
-# canonical starting point used throughout the docs and tests.
-_X0 = {
-    "example1": (5.0, 0.0, 1.0, 0.0, 0.0),
-    "example2": (2.95, -0.98, 0.94, -4.07, 4.89),
-    "interp-lorenz": (2.95, -0.98, 0.94, -4.07, 4.89),
-    "general": (5.0, 0.0, 1.0, 0.0, 0.0),
-}
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully-specified run: system recipe plus integration defaults."""
+    """A fully-specified run: system recipe plus run defaults.
+
+    ``compose(K, params)`` builds the scenario's system for a saturation
+    constant and Lorenz parameters.
+    """
 
     scenario_id: str
     K: float
-    input_spec: str
     x0: tuple[float, ...]
-    t_span: tuple[float, float]
-    output_grid_step: float = 0.01
-    integrator: IntegratorConfig = IntegratorConfig()
-    reference_inputs: tuple[str, ...] = field(default=())
+    compose: Callable[[float, LorenzParams], ComposedSystem]
+    input_spec: str = "sin:1:1"
+    t_span: tuple[float, float] = (0.0, 200.0)
+    reference_inputs: tuple[str, ...] = ()
 
     def build(self) -> ComposedSystem:
-        sys = build_system(self.scenario_id, K=self.K)
+        sys = self.compose(self.K, LorenzParams())
         if len(self.x0) != sys.dim:
             raise ValueError(
                 f"scenario {self.scenario_id!r} has dimension {sys.dim}, "
                 f"but x0 has {len(self.x0)} components"
             )
         return sys
+
+
+def _interp_lorenz(K: float, params: LorenzParams) -> ComposedSystem:
+    sys = compose_cascade(filter_one(), Saturation(K), lorenz_field(params),
+                          stable_linear_field())
+    return replace(sys, state_names=EXAMPLE_STATE_NAMES, scenario_id="interp-lorenz")
+
+
+# Reference initial states: the two 5-state demo systems each have a
+# canonical starting point used throughout the docs and tests.
+_X0_EXAMPLE1 = (5.0, 0.0, 1.0, 0.0, 0.0)
+_X0_EXAMPLE2 = (2.95, -0.98, 0.94, -4.07, 4.89)
+
+_SCENARIOS = {spec.scenario_id: spec for spec in (
+    ScenarioSpec("example1", 0.1, _X0_EXAMPLE1, compose_example1),
+    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2,
+                 lambda K, params: compose_example2(K),
+                 reference_inputs=("sin:1:1", "const:5.13", "const:1.89")),
+    ScenarioSpec("interp-lorenz", 1e-4, _X0_EXAMPLE2, _interp_lorenz),
+    ScenarioSpec("general", 0.1, _X0_EXAMPLE1,
+                 lambda K, params: compose_cascade(filter_one(), Saturation(K),
+                                                   lorenz_field(params))),
+)}
+
+SCENARIO_IDS = tuple(_SCENARIOS)
+
+
+def default_spec(name: str) -> ScenarioSpec:
+    """The canonical ScenarioSpec for a scenario name."""
+    try:
+        return _SCENARIOS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_IDS)}"
+        ) from None
 
 
 def build_system(
@@ -88,35 +105,8 @@ def build_system(
 
     ``K`` overrides the scenario's default saturation constant.
     """
-    if name not in SCENARIO_IDS:
-        raise KeyError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_IDS)}"
-        )
-    k = DEFAULT_K[name] if K is None else K
-    if name == "example1":
-        return compose_example1(K=k, params=params)
-    if name == "example2":
-        return compose_example2(K=k)
-    if name == "interp-lorenz":
-        sys = compose_interpolated(
-            filter_one(), Saturation(k), stable_linear_field(), lorenz_field(params)
-        )
-        return rename_states(sys, _CASCADE_NAMES, scenario_id="interp-lorenz")
-    sys = compose_general(filter_one(), Saturation(k), lorenz_field(params))
-    return sys
-
-
-def front_end(name: str):
-    """The LTI filter a scenario places in front of the saturation.
-
-    All bundled scenarios use the same first-order filter with a
-    transfer-function zero at the origin.
-    """
-    if name not in SCENARIO_IDS:
-        raise KeyError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_IDS)}"
-        )
-    return filter_one()
+    spec = default_spec(name)
+    return spec.compose(spec.K if K is None else K, params)
 
 
 def build_reference_system(name: str) -> tuple[ComposedSystem, tuple[float, ...]]:
@@ -124,22 +114,3 @@ def build_reference_system(name: str) -> tuple[ComposedSystem, tuple[float, ...]
     if name == "lorenz":
         return compose_autonomous(lorenz_field(), scenario_id="lorenz"), (1.0, 1.0, 1.0)
     raise KeyError(f"unknown reference system {name!r}; available: lorenz")
-
-
-def default_spec(name: str) -> ScenarioSpec:
-    """The canonical ScenarioSpec for a scenario name."""
-    if name not in SCENARIO_IDS:
-        raise KeyError(
-            f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_IDS)}"
-        )
-    refs = ()
-    if name == "example2":
-        refs = ("sin:1:1", "const:5.13", "const:1.89")
-    return ScenarioSpec(
-        scenario_id=name,
-        K=DEFAULT_K[name],
-        input_spec="sin:1:1",
-        x0=_X0[name],
-        t_span=(0.0, 200.0),
-        reference_inputs=refs,
-    )

@@ -29,6 +29,7 @@ __all__ = [
     "StepBudgetError",
     "integrate",
     "integrate_pair",
+    "pair_system",
     "RK4_FIXED",
     "RK45_ADAPTIVE",
 ]
@@ -310,6 +311,30 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
     return grid.copy(), rows
 
 
+def pair_system(sys: ComposedSystem) -> ComposedSystem:
+    """Two copies of ``sys`` stacked in one state and driven by one input.
+
+    Both copies advance jointly (error control sees the stacked state), so
+    adaptive step choices are common to the pair; this is what the
+    two-trajectory Lyapunov estimator needs.
+    """
+    n = sys.dim
+
+    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
+        out = np.empty_like(state)
+        out[:n] = sys.rhs(t, state[:n], u)
+        out[n:] = sys.rhs(t, state[n:], u)
+        return out
+
+    return ComposedSystem(
+        dim=2 * n,
+        rhs=rhs,
+        layout={"z": tuple(range(2 * n))},
+        state_names=tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)),
+        scenario_id=sys.scenario_id,
+    )
+
+
 def integrate_pair(
     sys: ComposedSystem,
     input_signal: InputSignal,
@@ -319,32 +344,14 @@ def integrate_pair(
     cfg: IntegratorConfig = IntegratorConfig(),
     output_grid: np.ndarray | None = None,
 ) -> tuple[Trajectory, Trajectory]:
-    """Integrate two initial states of the same system on one shared time grid.
-
-    Both copies are advanced jointly (error control sees the stacked state),
-    so adaptive step choices are common to the pair; this is what the
-    two-trajectory Lyapunov estimator needs.
-    """
+    """Integrate two initial states of the same system on one shared time
+    grid and one shared step sequence (see ``pair_system``)."""
     x0_a = np.asarray(x0_a, dtype=float)
     x0_b = np.asarray(x0_b, dtype=float)
     if x0_a.shape != (sys.dim,) or x0_b.shape != (sys.dim,):
         raise ValueError(f"both initial states must have shape ({sys.dim},)")
     n = sys.dim
-
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        out = np.empty_like(state)
-        out[:n] = sys.rhs(t, state[:n], u)
-        out[n:] = sys.rhs(t, state[n:], u)
-        return out
-
-    joint = ComposedSystem(
-        dim=2 * n,
-        rhs=rhs,
-        layout={"z": tuple(range(2 * n))},
-        state_names=tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)),
-        scenario_id=sys.scenario_id,
-    )
-    traj = integrate(joint, input_signal, np.concatenate([x0_a, x0_b]),
+    traj = integrate(pair_system(sys), input_signal, np.concatenate([x0_a, x0_b]),
                      t_span, cfg, output_grid)
     ta = Trajectory(traj.times, traj.states[:, :n], sys.scenario_id,
                     input_signal.spec, sys.state_names)

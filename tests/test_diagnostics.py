@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from entrain.blocks import VectorField, compose_autonomous, compose_example1, compose_example2
+from entrain.blocks import (
+    ComposedSystem,
+    VectorField,
+    compose_autonomous,
+    compose_example1,
+    compose_example2,
+)
 from entrain.diagnostics import (
     classify_response,
     detect_steady_state,
-    entrainment_verdict,
     lyapunov_max,
     monte_carlo,
     tail_stats,
@@ -135,6 +140,21 @@ def test_lyapunov_preconditions():
         lyapunov_max(DECAY, U0, np.array([1.0]), transient=500.0)
 
 
+def test_lyapunov_needs_a_z_block():
+    calls = []
+
+    def rhs(t, state, u):
+        calls.append(t)
+        return -state
+
+    no_z = ComposedSystem(1, rhs, {"x": (0,)}, ("x",), "no-z")
+    with pytest.raises(ValueError, match="no 'z' block"):
+        lyapunov_max(no_z, U0, np.array([1.0]))
+    assert calls == []  # rejected before integrating
+    with pytest.raises(ValueError, match="no 'z' block"):
+        classify_response(no_z, U0, np.array([1.0]), always_lyapunov=True)
+
+
 def test_lyapunov_insufficient_events():
     # horizon admits 100 renormalizations but the transient eats all but 10
     with pytest.raises(ValueError, match="renormalization events"):
@@ -144,8 +164,7 @@ def test_lyapunov_insufficient_events():
 # -------------------------------------------------------------------- verdicts
 
 def test_verdict_steady_for_settling_system():
-    v = entrainment_verdict(DECAY, U0, np.array([5.0]))
-    assert v == "steady_state"
+    assert classify_response(DECAY, U0, np.array([5.0])).verdict == "steady_state"
 
 
 def test_verdict_oscillation_for_harmonic_oscillator():
@@ -181,6 +200,29 @@ def test_classify_skips_lyapunov_when_converged():
     assert rec.verdict == "steady_state"
     assert rec.lyapunov is None
     assert rec.steady.converged
+
+
+def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
+    # -100 (z - 1) snaps both copies onto z = 1 bitwise, so the separation
+    # becomes exactly zero and no exponent can be measured
+    snap = compose_autonomous(VectorField(1, lambda z: -100.0 * (z - 1.0)), "snap")
+    with pytest.raises(ValueError, match="collapsed"):
+        lyapunov_max(snap, U0, np.array([5.0]))
+    rec = classify_response(snap, U0, np.array([5.0]), always_lyapunov=True)
+    assert rec.verdict == "steady_state"
+    assert rec.lyapunov is None
+    assert rec.steady.converged
+    # same collapse, but a second component drifts forever: no verdict
+    drift = compose_autonomous(
+        VectorField(2, lambda z: np.array([-100.0 * (z[0] - 1.0), 1.0])), "drift")
+    rec = classify_response(drift, U0, np.array([5.0, 0.0]))
+    assert rec.verdict == "inconclusive"
+    assert rec.lyapunov is None
+    assert not rec.steady.converged
+    # argument errors are still the caller's to see
+    with pytest.raises(ValueError, match="d0"):
+        classify_response(snap, U0, np.array([5.0]), always_lyapunov=True,
+                          lyapunov_opts={"d0": -1})
 
 
 # ----------------------------------------------------------------- monte carlo

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from entrain.lti import transfer_eval
 from entrain.scenarios import (
-    DEFAULT_K,
     SCENARIO_IDS,
     build_reference_system,
     build_system,
     default_spec,
-    front_end,
 )
 
 rng = np.random.default_rng(6021)
@@ -37,15 +34,13 @@ def test_unknown_names_raise():
     with pytest.raises(KeyError):
         default_spec("bogus")
     with pytest.raises(KeyError):
-        front_end("bogus")
-    with pytest.raises(KeyError):
         build_reference_system("rossler")
 
 
 def test_saturation_constant_override():
     # default K differs per scenario; an explicit K wins
-    assert DEFAULT_K["example1"] == 0.1
-    assert DEFAULT_K["example2"] == 1e-4
+    assert default_spec("example1").K == 0.1
+    assert default_spec("example2").K == 1e-4
     state = np.array([0.4, 0.5, 1.0, 2.0, 3.0])
     default = build_system("example1").rhs(0.0, state, 2.0)
     overridden = build_system("example1", K=10.0).rhs(0.0, state, 2.0)
@@ -65,12 +60,14 @@ def test_interp_scenario_matches_example2():
 
 
 def test_default_spec_is_runnable():
-    spec = default_spec("example1")
-    sys = spec.build()
-    assert sys.dim == len(spec.x0)
-    assert spec.t_span == (0.0, 200.0)
-    assert spec.input_spec == "sin:1:1"
-    assert spec.K == DEFAULT_K["example1"]
+    for name in SCENARIO_IDS:
+        spec = default_spec(name)
+        sys = spec.build()
+        assert spec.scenario_id == sys.scenario_id == name
+        assert build_system(name).scenario_id == name
+        assert sys.dim == len(spec.x0)
+        assert spec.t_span == (0.0, 200.0)
+        assert spec.input_spec == "sin:1:1"
 
 
 def test_spec_dimension_mismatch_caught():
@@ -86,12 +83,6 @@ def test_example2_records_reference_inputs():
     assert "const:5.13" in spec.reference_inputs
     assert "const:1.89" in spec.reference_inputs
     assert default_spec("example1").reference_inputs == ()
-
-
-def test_front_end_has_zero_at_origin():
-    f = front_end("example2")
-    assert abs(transfer_eval(f, 0.0)) < 1e-12
-    assert abs(transfer_eval(f, 1j)) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
 
 
 def test_reference_lorenz_system():
