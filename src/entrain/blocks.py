@@ -106,14 +106,6 @@ class ComposedSystem:
     def z_indices(self) -> tuple[int, ...]:
         return self.layout.get("z", ())
 
-    def name_index(self, name: str) -> int:
-        try:
-            return self.state_names.index(name)
-        except ValueError:
-            raise KeyError(
-                f"unknown variable {name!r}; this system has {self.state_names}"
-            ) from None
-
 
 def lorenz_rhs(params: LorenzParams, z: np.ndarray) -> np.ndarray:
     """Lorenz right-hand side at z = (xi, psi, zeta)."""
@@ -172,7 +164,7 @@ def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> C
     s, r, b = params.s, params.r, params.b
 
     def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, p, xi, psi, zeta = state
+        x, p, xi, psi, zeta = state.tolist()
         y = x + u
         return np.array([
             -x - u,
@@ -201,7 +193,7 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
     sat = Saturation(K)
 
     def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, p, xi, psi, zeta = state
+        x, p, xi, psi, zeta = state.tolist()
         y = x + u
         return np.array([
             -x - u,

@@ -62,7 +62,7 @@ class Sinusoid(InputSignal):
             raise ValueError(f"sinusoid omega must be positive, got {self.omega}")
 
     def __call__(self, t: float) -> float:
-        return self.amplitude * np.sin(self.omega * t + self.phase)
+        return float(self.amplitude * np.sin(self.omega * t + self.phase))
 
     @property
     def spec(self) -> str:

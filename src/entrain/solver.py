@@ -13,6 +13,7 @@ config produce bit-identical trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,8 @@ class StiffnessError(IntegrationError):
 
 
 class DivergenceError(IntegrationError):
-    """State or derivative became non-finite."""
+    """The initial derivative was non-finite, or trial steps stayed non-finite
+    until the step size fell below h_min (RK4: a state became non-finite)."""
 
 
 class StepBudgetError(IntegrationError):
@@ -131,24 +133,46 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _combine(coeffs, K, n_terms):
-    """Sum coeffs[k] * K[k] with elementwise ufuncs only.
+def _terms(coeffs: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
+    """The nonzero terms of one tableau row: the stage indices (a slice where
+    they are contiguous) and their coefficients as a column."""
+    idx = np.flatnonzero(coeffs)
+    contiguous = idx[-1] - idx[0] == idx.size - 1
+    sel = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
+    return sel, coeffs[idx][:, None]
 
-    Deliberately avoids BLAS matrix products: their SIMD kernels may round
-    differently per column position, which would break the guarantee that
-    two bitwise-identical state blocks stacked in one vector (integrate_pair)
-    evolve bitwise identically.
+
+_A_TERMS = [None] + [_terms(row) for row in _DP_A[1:]]
+_ERR_TERMS = _terms(_DP_ERR)
+# Stage times as Python floats, for cheap scalar arithmetic.
+_STAGE_C = _DP_C.tolist()
+
+
+def _combine(terms, K: np.ndarray) -> np.ndarray:
+    """Sum c[k] * K[k] over one row's nonzero terms, in stage order.
+
+    ``np.add.accumulate`` adds the rows strictly one after another, so every
+    element gets the same rounding as the plain loop ``acc += c[k] * K[k]``
+    whatever the state's size. ``np.add.reduce`` promises no order: it sums
+    a 1-column block pairwise once it has 8 rows or more. BLAS products
+    (``@``, ``dot``, ``einsum``) may round differently per column position.
+    Either would break the guarantee that two bitwise-identical state blocks
+    stacked in one vector (integrate_pair) evolve bitwise identically.
     """
-    acc = coeffs[0] * K[0]
-    for k in range(1, n_terms):
-        c = coeffs[k]
-        if c != 0.0:
-            acc += c * K[k]
-    return acc
+    sel, c = terms
+    return np.add.accumulate(c * K[sel], axis=0)[-1]
 
 
-def _hermite(t: float, t0: float, h: float, y0, y1, f0, f1) -> np.ndarray:
-    """Cubic Hermite interpolant on [t0, t0+h]; exact at both endpoints."""
+def _error_norm(q: np.ndarray) -> float:
+    """RMS of ``q``; the same bits as ``np.sqrt(np.mean(q ** 2))``."""
+    return math.sqrt(np.add.reduce(q * q) / q.size)
+
+
+def _hermite(t, t0: float, h: float, y0, y1, f0, f1) -> np.ndarray:
+    """Cubic Hermite interpolant on [t0, t0+h]; exact at both endpoints.
+
+    ``t`` is a column of times; the result has one row per time.
+    """
     th = (t - t0) / h
     th2 = th * th
     th3 = th2 * th
@@ -247,6 +271,12 @@ def _run_rk4(f, x0, t0, t_end, cfg, grid):
 
 
 def _run_dp45(f, x0, t0, t_end, cfg, grid):
+    """Dormand-Prince 4(5) with step control on the RMS of the scaled error.
+
+    A trial step with a non-finite stage or result is rejected like one with
+    an infinite error, so ``h`` shrinks by ``_MIN_FACTOR``; only when that
+    drives ``h`` below ``h_min`` is it a ``DivergenceError``.
+    """
     rows = None if grid is None else np.empty((grid.size, x0.size))
     dense_t, dense_y = [t0], [x0]
     gi = 0
@@ -254,14 +284,16 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
         rows[0] = x0
         gi = 1
 
+    K = np.empty((7, x0.size))
     t, y = t0, x0
-    k1 = f(t, y)
-    if not np.all(np.isfinite(k1)):
+    K[0] = f(t, y)
+    if not np.isfinite(K[0]).all():
         raise DivergenceError("derivative non-finite at initial state",
                               last_good_time=t0)
+    abs_y = np.abs(y)
     h = min(cfg.h_init, t_end - t0)
     steps = 0
-    K = np.empty((7, x0.size))
+    finite = True  # whether the last trial step was finite
     eps_end = 1e-14 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
         if steps >= cfg.max_steps:
@@ -269,34 +301,44 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
                 f"exceeded max_steps={cfg.max_steps}", last_good_time=t)
         steps += 1
         if h < cfg.h_min:
+            if not finite:
+                raise DivergenceError(
+                    f"trial steps stayed non-finite down to h={h:.3e} "
+                    f"< h_min={cfg.h_min:.3e}", last_good_time=t)
             raise StiffnessError(
                 f"step size {h:.3e} fell below h_min={cfg.h_min:.3e}",
                 last_good_time=t)
         h_step = min(h, t_end - t)
 
-        K[0] = k1
         for i in range(1, 7):
-            yi = y + h_step * _combine(_DP_A[i], K, i)
-            K[i] = f(t + _DP_C[i] * h_step, yi)
-        y_new = y + h_step * _combine(_DP_B5, K, 7)
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(K[6]))):
-            raise DivergenceError("state became non-finite", last_good_time=t)
-
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((h_step * _combine(_DP_ERR, K, 7) / scale) ** 2)))
+            yi = y + h_step * _combine(_A_TERMS[i], K)
+            K[i] = f(t + _STAGE_C[i] * h_step, yi)
+        # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight on
+        # the 7th stage, so the 7th stage ran at the new state.
+        y_new = yi
+        finite = np.isfinite(y_new).all() and np.isfinite(K[6]).all()
+        if finite:
+            abs_y_new = np.abs(y_new)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
+            err = _error_norm(h_step * _combine(_ERR_TERMS, K) / scale)
+        else:
+            err = math.inf
 
         if err <= 1.0:  # accept
             t_new = t + h_step
             if grid is not None:
                 bound = t_new + 1e-14 * max(1.0, abs(t_new))
-                while gi < grid.size and grid[gi] <= bound:
-                    rows[gi] = _hermite(min(grid[gi], t_new), t, h_step,
-                                        y, y_new, K[0], K[6])
-                    gi += 1
+                if gi < grid.size and grid[gi] <= bound:
+                    g_end = np.searchsorted(grid, bound, side="right")
+                    rows[gi:g_end] = _hermite(
+                        np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
+                        y, y_new, K[0], K[6])
+                    gi = g_end
             else:
                 dense_t.append(t_new)
                 dense_y.append(y_new)
-            t, y, k1 = t_new, y_new, K[6].copy()  # first-same-as-last
+            t, y, abs_y = t_new, y_new, abs_y_new
+            K[0] = K[6]
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
         else:  # reject and retry with a smaller step
@@ -321,10 +363,7 @@ def pair_system(sys: ComposedSystem) -> ComposedSystem:
     n = sys.dim
 
     def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        out = np.empty_like(state)
-        out[:n] = sys.rhs(t, state[:n], u)
-        out[n:] = sys.rhs(t, state[n:], u)
-        return out
+        return np.concatenate((sys.rhs(t, state[:n], u), sys.rhs(t, state[n:], u)))
 
     return ComposedSystem(
         dim=2 * n,

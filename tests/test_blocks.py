@@ -17,6 +17,8 @@ from entrain.blocks import (
     stable_linear_field,
 )
 from entrain.lti import LtiSystem
+from entrain.signals import Constant
+from entrain.solver import integrate
 
 rng = np.random.default_rng(20240817)
 
@@ -137,9 +139,12 @@ def test_layout_and_names():
     assert sys.state_names == ("x", "p", "xi", "psi", "zeta")
     assert sys.layout == {"x": (0,), "p": (1,), "z": (2, 3, 4)}
     assert sys.z_indices() == (2, 3, 4)
-    assert sys.name_index("psi") == 3
-    with pytest.raises(KeyError):
-        sys.name_index("nope")
+    x0 = np.arange(5.0)
+    traj = integrate(sys, Constant(0.0), x0, (0.0, 0.0))
+    assert traj.state_names == sys.state_names
+    assert np.array_equal(traj.column("psi"), [3.0])
+    with pytest.raises(KeyError, match="nope"):
+        traj.column("nope")
 
 
 def test_front_end_must_be_hurwitz_with_zero_at_origin():

@@ -155,16 +155,21 @@ def project_table():
         return tomllib.load(fh)["project"]
 
 
+def run_python(*args):
+    """Run this interpreter on the package this process imported."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(entrain.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def run_declared_entry_point(*args):
     """Run ``entrain`` the way the installed console script would: import
     the callable ``[project.scripts]`` names, hand it ``sys.argv`` and exit
-    with its return value, against the package this process imported."""
+    with its return value."""
     module, _, attr = project_table()["scripts"]["entrain"].partition(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(entrain.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return run_python("-c", code, *args)
 
 
 def check_freqresp_and_version(run):
@@ -178,6 +183,12 @@ def check_freqresp_and_version(run):
 
 def test_console_script_entry_point():
     check_freqresp_and_version(run_declared_entry_point)
+
+
+def test_python_dash_m_entrain():
+    check_freqresp_and_version(lambda *args: run_python("-m", "entrain", *args))
+    proc = run_python("-m", "entrain", "--version")
+    assert proc.stderr == ""
 
 
 @pytest.mark.skipif(shutil.which("entrain") is None,

@@ -3,15 +3,32 @@
 import numpy as np
 import pytest
 
-from entrain.blocks import VectorField, compose_autonomous, compose_example1
+from entrain.blocks import (
+    LorenzParams,
+    Saturation,
+    VectorField,
+    compose_autonomous,
+    compose_example1,
+    compose_example2,
+)
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import (
+    _A_TERMS,
+    _DP_A,
+    _DP_B5,
+    _DP_ERR,
+    _ERR_TERMS,
     DivergenceError,
     IntegratorConfig,
     StepBudgetError,
     StiffnessError,
+    _combine,
+    _error_norm,
+    _hermite,
+    _terms,
     integrate,
     integrate_pair,
+    pair_system,
 )
 
 LAG = compose_autonomous(VectorField(1, lambda z: -z + 1.0), "lag")
@@ -158,6 +175,16 @@ def test_stiffness_error_when_step_underflows():
         integrate(blow, U0, np.array([1.0]), (0.0, 2.0))
 
 
+def test_nonfinite_trial_step_is_rejected():
+    # dz = -z^3 from z0 = 1e3: the first trial steps overflow, yet the exact
+    # solution z(t) = 1 / sqrt(2 t + 1e-6) decays smoothly
+    cubic = compose_autonomous(VectorField(1, lambda z: -z ** 3), "cubic")
+    with np.errstate(all="ignore"):
+        traj = integrate(cubic, U0, np.array([1e3]), (0.0, 10.0),
+                         output_grid=np.array([10.0]))
+    assert traj.final_state[0] == pytest.approx(1.0 / np.sqrt(20.000001), rel=1e-7)
+
+
 def test_step_budget_error():
     with pytest.raises(StepBudgetError):
         integrate(DECAY, U0, np.array([1.0]), (0.0, 10.0),
@@ -199,3 +226,108 @@ def test_trajectory_column_accessor():
     assert traj.column("x").shape == (2,)
     with pytest.raises(KeyError):
         traj.column("bogus")
+
+
+# The solver's fused stage sums, error norm and column Hermite call must give
+# the same bits as the plain per-term loop, np.mean and per-point calls.
+
+
+def _combine_loop(coeffs, K, n_terms):
+    acc = coeffs[0] * K[0]
+    for k in range(1, n_terms):
+        c = coeffs[k]
+        if c != 0.0:
+            acc += c * K[k]
+    return acc
+
+
+def _hermite_point(t, t0, h, y0, y1, f0, f1):
+    th = (t - t0) / h
+    th2 = th * th
+    th3 = th2 * th
+    return ((2 * th3 - 3 * th2 + 1) * y0
+            + (th3 - 2 * th2 + th) * h * f0
+            + (-2 * th3 + 3 * th2) * y1
+            + (th3 - th2) * h * f1)
+
+
+def _random_stages(rng, dim, stages=7):
+    # magnitudes spread over 10 decades, so that sums round often
+    shape = (stages, dim)
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_combine_matches_loop_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    rows = [(_A_TERMS[i], _DP_A[i], i) for i in range(1, 7)]
+    rows += [(_terms(_DP_B5), _DP_B5, 7), (_ERR_TERMS, _DP_ERR, 7)]
+    for _ in range(20):
+        K = _random_stages(rng, dim)
+        for terms, coeffs, n_terms in rows:
+            assert _combine(terms, K).tobytes() == _combine_loop(coeffs, K, n_terms).tobytes()
+        # first-same-as-last: the last stage's input is the 5th-order result
+        assert (_combine(_A_TERMS[6], K).tobytes()
+                == _combine_loop(_DP_B5, K, 7).tobytes())
+    # longer rows than DOPRI5's, with and without gaps: the sum stays in order
+    for _ in range(20):
+        K = _random_stages(rng, dim, 12)
+        for coeffs in (rng.standard_normal(12), np.repeat([1.5, 0.0, -0.3], 4)):
+            assert (_combine(_terms(coeffs), K).tobytes()
+                    == _combine_loop(coeffs, K, 12).tobytes())
+
+
+@pytest.mark.parametrize("size", [*range(1, 13), 40, 1000])
+def test_error_norm_matches_numpy_mean_bitwise(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        q = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+        assert (np.float64(_error_norm(q)).tobytes()
+                == np.sqrt(np.mean(q ** 2)).tobytes())
+
+
+def test_hermite_on_a_column_matches_per_point_calls_bitwise():
+    rng = np.random.default_rng(5)
+    for dim in (1, 5, 10):
+        y0, y1, f0, f1 = _random_stages(rng, dim)[:4]
+        t0, h = 3.7, 0.0913
+        ts = np.sort(rng.uniform(t0, t0 + h, 9))
+        ref = np.array([_hermite_point(t, t0, h, y0, y1, f0, f1) for t in ts])
+        assert _hermite(ts[:, None], t0, h, y0, y1, f0, f1).tobytes() == ref.tobytes()
+
+
+def _example_reference(which, K, state, u):
+    """The example RHS bodies on numpy scalars, as unpacked from the array."""
+    sat = Saturation(K)
+    x, p, xi, psi, zeta = state
+    y = x + u
+    if which == 1:
+        s, r, b = LorenzParams().s, LorenzParams().r, LorenzParams().b
+        z_dot = [p * (s * (psi - xi)), p * (r * xi - psi - xi * zeta),
+                 p * (xi * psi - b * zeta)]
+    else:
+        z_dot = [10.0 * (psi - xi), 28.0 * p * xi - psi - p * xi * zeta,
+                 p * xi * psi - (8.0 / 3.0) * zeta]
+    return np.array([-x - u, -p + sat(y)] + z_dot)
+
+
+def test_example_rhs_bitwise_under_float_and_numpy_inputs():
+    rng = np.random.default_rng(6)
+    for which, sys, K in ((1, compose_example1(), 0.1), (2, compose_example2(), 1e-4)):
+        pair = pair_system(sys)
+        for _ in range(50):
+            state = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 2, 5)
+            u = float(rng.uniform(-10.0, 10.0))
+            ref = _example_reference(which, K, state, u).tobytes()
+            assert sys.rhs(0.0, state, u).tobytes() == ref
+            assert sys.rhs(0.0, state, np.float64(u)).tobytes() == ref
+            both = pair.rhs(0.0, np.concatenate([state, state]), u)
+            assert both.tobytes() == 2 * ref
+
+
+def test_sinusoid_returns_python_float_of_numpy_sin():
+    sig = Sinusoid(amplitude=1.3, omega=2.1, phase=0.4)
+    for t in np.random.default_rng(7).uniform(-100.0, 100.0, 50):
+        u = sig(float(t))
+        assert type(u) is float
+        assert np.float64(u).tobytes() == (1.3 * np.sin(2.1 * t + 0.4)).tobytes()
