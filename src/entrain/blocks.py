@@ -85,12 +85,11 @@ class ComposedSystem:
     """Input-driven ODE assembled from blocks.
 
     ``rhs(t, state, u)`` returns the state derivative; time enters only
-    through the input value u. ``layout`` maps block names to state indices
-    (always a partition of 0..dim-1) and ``state_names`` labels each state
-    column, in order, for CSV output and diagnostics lookups.
+    through the input value u. ``state_names`` labels each state column, in
+    order, for CSV output and diagnostics lookups; ``dim`` is its length.
+    ``layout`` maps block names to state indices (a partition of 0..dim-1).
     """
 
-    dim: int
     rhs: Callable[[float, np.ndarray, float], np.ndarray]
     layout: dict[str, tuple[int, ...]]
     state_names: tuple[str, ...]
@@ -100,8 +99,10 @@ class ComposedSystem:
         covered = sorted(i for idx in self.layout.values() for i in idx)
         if covered != list(range(self.dim)):
             raise ValueError(f"layout {self.layout} does not partition 0..{self.dim - 1}")
-        if len(self.state_names) != self.dim:
-            raise ValueError("state_names must label every state component")
+
+    @property
+    def dim(self) -> int:
+        return len(self.state_names)
 
     def z_indices(self) -> tuple[int, ...]:
         return self.layout.get("z", ())
@@ -174,7 +175,7 @@ def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> C
             p * (xi * psi - b * zeta),
         ])
 
-    return ComposedSystem(dim=5, rhs=rhs, layout=_cascade_layout(1, 3)[0],
+    return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
                           state_names=EXAMPLE_STATE_NAMES, scenario_id="example1")
 
 
@@ -203,7 +204,7 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
             p * xi * psi - (8.0 / 3.0) * zeta,
         ])
 
-    return ComposedSystem(dim=5, rhs=rhs, layout=_cascade_layout(1, 3)[0],
+    return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
                           state_names=EXAMPLE_STATE_NAMES, scenario_id="example2")
 
 
@@ -248,7 +249,7 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
         return out
 
     layout, names = _cascade_layout(n, zdim)
-    return ComposedSystem(dim=n + 1 + zdim, rhs=rhs, layout=layout, state_names=names,
+    return ComposedSystem(rhs=rhs, layout=layout, state_names=names,
                           scenario_id="general" if f0 is None else "interpolated")
 
 
@@ -262,7 +263,6 @@ def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> C
         return field.rhs(state)
 
     return ComposedSystem(
-        dim=field.dim,
         rhs=rhs,
         layout={"z": tuple(range(field.dim))},
         state_names=tuple(f"z{i}" for i in range(field.dim)),

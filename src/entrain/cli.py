@@ -39,7 +39,8 @@ from .diagnostics import (
 from .lti import has_zero_at_origin, sinusoid_steady_state, transfer_eval
 from .scenarios import SCENARIO_IDS, build_reference_system, build_system, default_spec
 from .signals import parse_input_spec
-from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .solver import (RK4_FIXED, RK45_ADAPTIVE, IntegrationError, IntegratorConfig,
+                     Trajectory, integrate)
 
 __all__ = ["main", "run_from_manifest", "RunArtifacts"]
 
@@ -48,22 +49,24 @@ _FLOAT_FMT = "%.17g"
 
 @dataclass(frozen=True)
 class RunArtifacts:
+    """What a simulate run wrote: the two file paths and the report's content."""
+
     trajectory_csv_path: Path
     report_json_path: Path
-    run_manifest: dict
+    report: dict
 
 
 def _write_csv(path: Path, traj: Trajectory) -> None:
+    row_fmt = ",".join([_FLOAT_FMT] * (1 + traj.states.shape[1])) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("t," + ",".join(traj.state_names) + "\n")
         for t, row in zip(traj.times, traj.states):
-            fields = [_FLOAT_FMT % t] + [_FLOAT_FMT % v for v in row]
-            fh.write(",".join(fields) + "\n")
+            fh.write(row_fmt % (t, *row.tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -109,28 +112,21 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
     cfg = _config_from(params)
 
     traj = integrate(sys_obj, signal, x0, (t0, t1), cfg, output_grid=grid)
+    try:
+        steady = detect_steady_state(traj)
+    except ValueError:  # the grid is too short or too coarse for a verdict
+        steady = None
 
-    report: dict = {
+    report = {
         "scenario_id": sys_obj.scenario_id,
         "input_spec": signal.spec,
         "x0": list(map(float, x0)),
         "t_span": [t0, t1],
-        "converged": None,
-        "steady_state": None,
-        "tail_stats": None,
+        "converged": None if steady is None else steady.converged,
+        "steady_state": None if steady is None else asdict(steady),
+        "tail_stats": (asdict(tail_stats(traj, "p"))
+                       if "p" in traj.state_names else None),
     }
-    if t1 - t0 >= 10.0:
-        steady = detect_steady_state(traj)
-        ss = asdict(steady)
-        ss["final_state"] = list(map(float, steady.final_state))
-        ss["tail_window"] = list(steady.tail_window)
-        report["converged"] = steady.converged
-        report["steady_state"] = ss
-    if "p" in traj.state_names:
-        ts = tail_stats(traj, "p")
-        d = asdict(ts)
-        d["window"] = list(ts.window)
-        report["tail_stats"] = d
 
     manifest = {"tool": "entrain", "version": __version__, "command": "simulate"}
     manifest.update(params)
@@ -143,7 +139,7 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
     _write_csv(csv_path, traj)
     _write_json(report_path, report)
     _write_json(out_dir / "manifest.json", manifest)
-    return RunArtifacts(csv_path, report_path, manifest)
+    return RunArtifacts(csv_path, report_path, report)
 
 
 def run_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = None) -> RunArtifacts:
@@ -177,11 +173,9 @@ def _cmd_simulate(args) -> int:
         "method": args.method,
     }
     artifacts = _simulate_from_params(params, _out_dir(args))
-    with open(artifacts.report_json_path) as fh:
-        converged = json.load(fh)["converged"]
     print(f"wrote {artifacts.trajectory_csv_path}")
     print(f"wrote {artifacts.report_json_path}")
-    print(f"converged: {converged}")
+    print(f"converged: {artifacts.report['converged']}")
     return 0
 
 
@@ -237,10 +231,11 @@ def _cmd_freqresp(args) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--method", choices=("rk45_adaptive", "rk4_fixed"),
-                   default="rk45_adaptive")
+    defaults = IntegratorConfig()
+    p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
+    p.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
+                   default=defaults.method)
     p.add_argument("--out-dir", default=os.environ.get("ENTRAIN_OUT_DIR", "."),
                    help="output directory (default: $ENTRAIN_OUT_DIR or .)")
 
@@ -296,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # The solver reports non-finite states itself; numpy's element-wise
-        # overflow warnings would only add noise on top of exit code 3.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,6 @@ from typing import Callable
 from .blocks import (
     EXAMPLE_STATE_NAMES,
     ComposedSystem,
-    LorenzParams,
     Saturation,
     compose_autonomous,
     compose_cascade,
@@ -41,32 +40,27 @@ __all__ = [
 class ScenarioSpec:
     """A fully-specified run: system recipe plus run defaults.
 
-    ``compose(K, params)`` builds the scenario's system for a saturation
-    constant and Lorenz parameters.
+    ``compose(K)`` builds the scenario's system for a saturation constant;
+    every row uses the classic Lorenz parameters.
     """
 
     scenario_id: str
     K: float
     x0: tuple[float, ...]
-    compose: Callable[[float, LorenzParams], ComposedSystem]
+    compose: Callable[[float], ComposedSystem]
     input_spec: str = "sin:1:1"
     t_span: tuple[float, float] = (0.0, 200.0)
     reference_inputs: tuple[str, ...] = ()
 
-    def build(self) -> ComposedSystem:
-        sys = self.compose(self.K, LorenzParams())
-        if len(self.x0) != sys.dim:
-            raise ValueError(
-                f"scenario {self.scenario_id!r} has dimension {sys.dim}, "
-                f"but x0 has {len(self.x0)} components"
-            )
-        return sys
 
-
-def _interp_lorenz(K: float, params: LorenzParams) -> ComposedSystem:
-    sys = compose_cascade(filter_one(), Saturation(K), lorenz_field(params),
+def _interp_lorenz(K: float) -> ComposedSystem:
+    sys = compose_cascade(filter_one(), Saturation(K), lorenz_field(),
                           stable_linear_field())
     return replace(sys, state_names=EXAMPLE_STATE_NAMES, scenario_id="interp-lorenz")
+
+
+def _general(K: float) -> ComposedSystem:
+    return compose_cascade(filter_one(), Saturation(K), lorenz_field())
 
 
 # Reference initial states: the two 5-state demo systems each have a
@@ -76,13 +70,10 @@ _X0_EXAMPLE2 = (2.95, -0.98, 0.94, -4.07, 4.89)
 
 _SCENARIOS = {spec.scenario_id: spec for spec in (
     ScenarioSpec("example1", 0.1, _X0_EXAMPLE1, compose_example1),
-    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2,
-                 lambda K, params: compose_example2(K),
+    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2, compose_example2,
                  reference_inputs=("sin:1:1", "const:5.13", "const:1.89")),
     ScenarioSpec("interp-lorenz", 1e-4, _X0_EXAMPLE2, _interp_lorenz),
-    ScenarioSpec("general", 0.1, _X0_EXAMPLE1,
-                 lambda K, params: compose_cascade(filter_one(), Saturation(K),
-                                                   lorenz_field(params))),
+    ScenarioSpec("general", 0.1, _X0_EXAMPLE1, _general),
 )}
 
 SCENARIO_IDS = tuple(_SCENARIOS)
@@ -98,15 +89,13 @@ def default_spec(name: str) -> ScenarioSpec:
         ) from None
 
 
-def build_system(
-    name: str, K: float | None = None, params: LorenzParams = LorenzParams()
-) -> ComposedSystem:
+def build_system(name: str, K: float | None = None) -> ComposedSystem:
     """Construct the composed system for a scenario name.
 
     ``K`` overrides the scenario's default saturation constant.
     """
     spec = default_spec(name)
-    return spec.compose(spec.K if K is None else K, params)
+    return spec.compose(spec.K if K is None else K)
 
 
 def build_reference_system(name: str) -> tuple[ComposedSystem, tuple[float, ...]]:

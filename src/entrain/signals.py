@@ -35,6 +35,11 @@ class InputSignal:
         raise NotImplementedError
 
 
+def _num(value: float) -> str:
+    """The shortest text that parses back to ``value`` exactly; 10.0 reads ``10``."""
+    return repr(float(value)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class Constant(InputSignal):
     """u(t) = value for all t."""
@@ -46,7 +51,7 @@ class Constant(InputSignal):
 
     @property
     def spec(self) -> str:
-        return f"const:{self.value:g}"
+        return f"const:{_num(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class Sinusoid(InputSignal):
 
     @property
     def spec(self) -> str:
-        return f"sin:{self.amplitude:g}:{self.omega:g}:{self.phase:g}"
+        return f"sin:{_num(self.amplitude)}:{_num(self.omega)}:{_num(self.phase)}"
 
 
 @dataclass(frozen=True)

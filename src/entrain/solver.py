@@ -14,7 +14,7 @@ config produce bit-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,13 +86,11 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Time grid plus state rows, one column per state in layout order."""
+    """Time grid plus state rows, one column per name in ``state_names``."""
 
     times: np.ndarray
     states: np.ndarray
-    scenario_id: str
-    input_spec: str
-    state_names: tuple[str, ...] = field(default=())
+    state_names: tuple[str, ...]
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -217,18 +215,12 @@ def integrate(
     def f(t: float, y: np.ndarray) -> np.ndarray:
         return sys.rhs(t, y, input_signal(t))
 
-    if t_end == t0:
-        times = np.array([t0]) if grid is None else grid.copy()
-        states = np.tile(x0, (times.size, 1))
-        return Trajectory(times, states, sys.scenario_id, input_signal.spec,
-                          sys.state_names)
-
-    if cfg.method == RK4_FIXED:
-        times, states = _run_rk4(f, x0, t0, t_end, cfg, grid)
-    else:
-        times, states = _run_dp45(f, x0, t0, t_end, cfg, grid)
-    return Trajectory(times, states, sys.scenario_id, input_signal.spec,
-                      sys.state_names)
+    run = _run_rk4 if cfg.method == RK4_FIXED else _run_dp45
+    # The runners reject or raise on non-finite values themselves, so numpy's
+    # element-wise warnings (say, from a rejected trial step) are only noise.
+    with np.errstate(all="ignore"):
+        times, states = run(f, x0, t0, t_end, cfg, grid)
+    return Trajectory(times, states, sys.state_names)
 
 
 def _run_rk4(f, x0, t0, t_end, cfg, grid):
@@ -366,7 +358,6 @@ def pair_system(sys: ComposedSystem) -> ComposedSystem:
         return np.concatenate((sys.rhs(t, state[:n], u), sys.rhs(t, state[n:], u)))
 
     return ComposedSystem(
-        dim=2 * n,
         rhs=rhs,
         layout={"z": tuple(range(2 * n))},
         state_names=tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)),
@@ -392,8 +383,6 @@ def integrate_pair(
     n = sys.dim
     traj = integrate(pair_system(sys), input_signal, np.concatenate([x0_a, x0_b]),
                      t_span, cfg, output_grid)
-    ta = Trajectory(traj.times, traj.states[:, :n], sys.scenario_id,
-                    input_signal.spec, sys.state_names)
-    tb = Trajectory(traj.times.copy(), traj.states[:, n:], sys.scenario_id,
-                    input_signal.spec, sys.state_names)
+    ta = Trajectory(traj.times, traj.states[:, :n], sys.state_names)
+    tb = Trajectory(traj.times.copy(), traj.states[:, n:], sys.state_names)
     return ta, tb

@@ -16,6 +16,7 @@ from entrain.blocks import (
     lorenz_rhs,
     stable_linear_field,
 )
+from entrain.diagnostics import classify_response
 from entrain.lti import LtiSystem
 from entrain.signals import Constant
 from entrain.solver import integrate
@@ -118,6 +119,28 @@ def test_general_matches_example1_pointwise():
         u = rng.uniform(-10, 10)
         t = rng.uniform(0, 100)
         np.testing.assert_array_equal(gen.rhs(t, state, u), e1.rhs(t, state, u))
+
+
+def test_cascade_around_a_two_state_filter():
+    # W(s) = s / ((s + 1)(s + 2)) in controllable canonical form
+    filt = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[0.0, 1.0], D=0.0)
+    sys = compose_cascade(filt, Saturation(0.1), lorenz_field())
+    assert sys.state_names == ("x0", "x1", "p", "z0", "z1", "z2")
+    assert sys.dim == 6
+    assert sys.layout == {"x": (0, 1), "p": (2,), "z": (3, 4, 5)}
+
+    x0, x1, p, xi, psi, zeta = state = np.array([0.5, -1.0, 0.25, 1.0, 2.0, 3.0])
+    u = 2.0
+    y = x1
+    expected = [x1, -2.0 * x0 - 3.0 * x1 + u, -p + y * y / (0.1 + y * y),
+                p * 10.0 * (psi - xi), p * (28.0 * xi - psi - xi * zeta),
+                p * (xi * psi - 8.0 / 3.0 * zeta)]
+    np.testing.assert_allclose(sys.rhs(0.0, state, u), expected, rtol=1e-15, atol=0)
+
+    # a constant input settles x at (u/2, 0), so y and then p decay and z freezes
+    rec = classify_response(sys, Constant(7.0), np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+                            ss_horizon=100.0)
+    assert rec.verdict == "steady_state"
 
 
 def test_interpolated_matches_example2_pointwise():

@@ -10,7 +10,8 @@ import pytest
 
 import entrain
 from entrain import run_from_manifest
-from entrain.cli import main
+from entrain.cli import _write_csv, main
+from entrain.solver import Trajectory
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -59,6 +60,32 @@ def test_repeat_runs_and_manifest_replay_are_byte_identical(tmp_path):
     run_from_manifest(d1 / "manifest.json", out_dir=d3)
     assert read(d1 / "trajectory.csv") == read(d3 / "trajectory.csv")
     assert read(d1 / "report.json") == read(d3 / "report.json")
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(17)
+    states = rng.standard_normal((200, 5)) * 10.0 ** rng.integers(-20, 20, (200, 5))
+    states[::3, 1] = -0.0
+    traj = Trajectory(np.linspace(0.0, 2.0, 200), states, ("x", "p", "xi", "psi", "zeta"))
+    _write_csv(tmp_path / "t.csv", traj)
+    expected = "t,x,p,xi,psi,zeta\n" + "".join(
+        ",".join(["%.17g" % t] + ["%.17g" % v for v in row]) + "\n"
+        for t, row in zip(traj.times, traj.states))
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("t_end, step", [("10", "3"), ("12", "5")])
+def test_coarse_grid_gives_null_verdict(tmp_path, capsys, t_end, step):
+    # too short (9 time units) or too few tail samples for a steady-state
+    # verdict: the run still succeeds and says so
+    rc = main(["simulate", "--scenario", "example1", "--t-end", t_end,
+               "--grid-step", step, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert "converged: None" in capsys.readouterr().out
+    assert (tmp_path / "trajectory.csv").read_text().startswith("t,x,p,")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is None and report["steady_state"] is None
+    assert report["tail_stats"]["variable"] == "p"
 
 
 def test_replay_rejects_foreign_manifest(tmp_path):

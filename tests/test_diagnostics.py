@@ -26,8 +26,8 @@ U0 = Constant(0.0)
 
 def make_traj(times, states, names=("a", "b")):
     states = np.asarray(states, dtype=float)
-    return Trajectory(np.asarray(times, dtype=float), states, "synthetic",
-                      "const:0", tuple(names[: states.shape[1]]))
+    return Trajectory(np.asarray(times, dtype=float), states,
+                      tuple(names[: states.shape[1]]))
 
 
 # ---------------------------------------------------------------- steady state
@@ -147,7 +147,7 @@ def test_lyapunov_needs_a_z_block():
         calls.append(t)
         return -state
 
-    no_z = ComposedSystem(1, rhs, {"x": (0,)}, ("x",), "no-z")
+    no_z = ComposedSystem(rhs, {"x": (0,)}, ("x",), "no-z")
     with pytest.raises(ValueError, match="no 'z' block"):
         lyapunov_max(no_z, U0, np.array([1.0]))
     assert calls == []  # rejected before integrating
@@ -189,8 +189,7 @@ def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
 
 def test_verdict_divergence_instead_of_crash():
     blow = compose_autonomous(VectorField(1, lambda z: z * z), "blowup")
-    with np.errstate(all="ignore"):
-        rec = classify_response(blow, U0, np.array([1.0]), ss_horizon=20.0)
+    rec = classify_response(blow, U0, np.array([1.0]), ss_horizon=20.0)
     assert rec.verdict == "divergence"
     assert rec.lyapunov is None
 

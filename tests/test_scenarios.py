@@ -62,20 +62,11 @@ def test_interp_scenario_matches_example2():
 def test_default_spec_is_runnable():
     for name in SCENARIO_IDS:
         spec = default_spec(name)
-        sys = spec.build()
+        sys = build_system(name)
         assert spec.scenario_id == sys.scenario_id == name
-        assert build_system(name).scenario_id == name
         assert sys.dim == len(spec.x0)
         assert spec.t_span == (0.0, 200.0)
         assert spec.input_spec == "sin:1:1"
-
-
-def test_spec_dimension_mismatch_caught():
-    from dataclasses import replace
-
-    spec = replace(default_spec("example1"), x0=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        spec.build()
 
 
 def test_example2_records_reference_inputs():

@@ -81,3 +81,18 @@ def test_parse_rejects_garbage():
     for bad in ("", "const", "const:abc", "sin:1", "tri:1:1", "sin:1:0"):
         with pytest.raises(ValueError):
             parse_input_spec(bad)
+
+
+def test_spec_round_trips_exactly():
+    rng = np.random.default_rng(3123456)
+    for text in ("const:3.5", "const:10", "sin:2:3:0.5", "sin:1:1:0"):
+        assert parse_input_spec(text).spec == text
+    assert Constant(3.123456).spec == "const:3.123456"
+    assert Sinusoid(1.0, 1.0000001).spec == "sin:1:1.0000001:0"
+
+    def draw():
+        return rng.standard_normal() * 10.0 ** rng.integers(-20, 21)
+
+    for _ in range(2000):
+        for sig in (Constant(draw()), Sinusoid(draw(), abs(draw()) or 1.0, draw())):
+            assert parse_input_spec(sig.spec) == sig
