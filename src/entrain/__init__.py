@@ -49,7 +49,6 @@ from .solver import (
     StiffnessError,
     Trajectory,
     integrate,
-    integrate_pair,
 )
 
 __all__ = [
@@ -64,7 +63,7 @@ __all__ = [
     "compose_example1", "compose_example2", "compose_cascade",
     "compose_autonomous",
     # solver
-    "IntegratorConfig", "Trajectory", "integrate", "integrate_pair",
+    "IntegratorConfig", "Trajectory", "integrate",
     "IntegrationError", "StiffnessError", "DivergenceError", "StepBudgetError",
     # diagnostics
     "SteadyStateReport", "LyapunovEstimate", "TailStats", "VerdictRecord",

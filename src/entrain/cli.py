@@ -108,7 +108,12 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
     step = params["grid_step"]
     if step <= 0:
         raise ValueError(f"--grid-step must be positive, got {step}")
+    # arange's last point lies within half a step of t_end, on either side;
+    # t_end takes its place, so the rows end where the report's t_span does
     grid = np.arange(t0, t1 + step / 2, step)
+    if grid.size == 1:  # t_end within half a step of t_start
+        grid = np.append(grid, t1)
+    grid[-1] = t1
     cfg = _config_from(params)
 
     traj = integrate(sys_obj, signal, x0, (t0, t1), cfg, output_grid=grid)

@@ -8,7 +8,11 @@ method interpolates its internal steps with a cubic Hermite (locally
 4th-order accurate), the fixed-step method lands on grid points exactly.
 
 Everything here is deterministic: same system, input, initial state and
-config produce bit-identical trajectories.
+config produce bit-identical trajectories. The adaptive step runs on lists
+of Python floats and sums each stage's terms strictly left to right, as a
+per-term loop does, so a state component rounds the same way whatever else
+shares the state vector: two identical copies stacked by ``pair_system``
+evolve bit for bit alike.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "DivergenceError",
     "StepBudgetError",
     "integrate",
-    "integrate_pair",
     "pair_system",
     "RK4_FIXED",
     "RK45_ADAPTIVE",
@@ -109,61 +112,53 @@ class Trajectory:
         return float(self.times[-1] - self.times[0])
 
 
-# Dormand-Prince 4(5) tableau (propagates the 5th-order solution; the
-# difference against the embedded 4th-order result estimates local error).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 4(5) tableau as Python floats (propagates the 5th-order
+# solution; the difference against the embedded 4th-order result estimates
+# local error). _run_dp45 spells each row out term by term.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_B5 = _DP_A[6] + (0.0,)
+_DP_ERR = tuple(b - b4 for b, b4 in zip(_DP_B5, (
+    5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _terms(coeffs: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
-    """The nonzero terms of one tableau row: the stage indices (a slice where
-    they are contiguous) and their coefficients as a column."""
-    idx = np.flatnonzero(coeffs)
-    contiguous = idx[-1] - idx[0] == idx.size - 1
-    sel = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
-    return sel, coeffs[idx][:, None]
+def _sumsq(q: list[float]) -> float:
+    """Sum of the squares of ``q``, with the bits of ``np.add.reduce(q * q)``.
 
-
-_A_TERMS = [None] + [_terms(row) for row in _DP_A[1:]]
-_ERR_TERMS = _terms(_DP_ERR)
-# Stage times as Python floats, for cheap scalar arithmetic.
-_STAGE_C = _DP_C.tolist()
-
-
-def _combine(terms, K: np.ndarray) -> np.ndarray:
-    """Sum c[k] * K[k] over one row's nonzero terms, in stage order.
-
-    ``np.add.accumulate`` adds the rows strictly one after another, so every
-    element gets the same rounding as the plain loop ``acc += c[k] * K[k]``
-    whatever the state's size. ``np.add.reduce`` promises no order: it sums
-    a 1-column block pairwise once it has 8 rows or more. BLAS products
-    (``@``, ``dot``, ``einsum``) may round differently per column position.
-    Either would break the guarantee that two bitwise-identical state blocks
-    stacked in one vector (integrate_pair) evolve bitwise identically.
+    It replays numpy's pairwise float64 sum: a plain loop below 8 terms,
+    eight interleaved partial sums up to 128, and halves (cut at a multiple
+    of 8) above that.
     """
-    sel, c = terms
-    return np.add.accumulate(c * K[sel], axis=0)[-1]
-
-
-def _error_norm(q: np.ndarray) -> float:
-    """RMS of ``q``; the same bits as ``np.sqrt(np.mean(q ** 2))``."""
-    return math.sqrt(np.add.reduce(q * q) / q.size)
+    n = len(q)
+    if n < 8:
+        s = 0.0
+        for v in q:
+            s += v * v
+        return s
+    if n <= 128:
+        m = n - n % 8
+        r = [v * v for v in q[:8]]
+        for i in range(8, m, 8):
+            r = [a + v * v for a, v in zip(r, q[i:i + 8])]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in q[m:]:
+            s += v * v
+        return s
+    half = n // 2
+    half -= half % 8
+    return _sumsq(q[:half]) + _sumsq(q[half:])
 
 
 def _hermite(t, t0: float, h: float, y0, y1, f0, f1) -> np.ndarray:
@@ -268,21 +263,38 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
     A trial step with a non-finite stage or result is rejected like one with
     an infinite error, so ``h`` shrinks by ``_MIN_FACTOR``; only when that
     drives ``h`` below ``h_min`` is it a ``DivergenceError``.
+
+    The state, the stages and the error are lists of Python floats: on
+    vectors this short, one list comprehension per stage costs less than
+    the overhead of numpy calls. Each stage sums its terms left to right, skipping
+    zero weights, and Python neither reorders nor fuses float operations, so
+    every component rounds as the per-term loop ``acc += a[k] * K[k]`` does,
+    whatever the state's size. The RHS still gets and returns numpy arrays.
     """
-    rows = None if grid is None else np.empty((grid.size, x0.size))
-    dense_t, dense_y = [t0], [x0]
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
+    e0, _, e2, e3, e4, e5, e6 = _DP_ERR
+    c1, c2, c3, c4, c5, c6 = _DP_C[1:]
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    array, isfinite = np.array, math.isfinite
+    n = x0.size
+
+    rows = None if grid is None else np.empty((grid.size, n))
+    t, y = t0, x0.tolist()
+    dense_t, dense_y = [t], [y]
     gi = 0
     if grid is not None and grid[0] == t0:
-        rows[0] = x0
+        rows[0] = y
         gi = 1
 
-    K = np.empty((7, x0.size))
-    t, y = t0, x0
-    K[0] = f(t, y)
-    if not np.isfinite(K[0]).all():
+    k0 = f(t, x0).tolist()
+    if len(k0) != n:  # zip would silently drop the extra state components
+        raise ValueError(f"the right-hand side returned a vector of length "
+                         f"{len(k0)} for a state of length {n}")
+    if not all(map(isfinite, k0)):
         raise DivergenceError("derivative non-finite at initial state",
                               last_good_time=t0)
-    abs_y = np.abs(y)
+    abs_y = list(map(abs, y))
     h = min(cfg.h_init, t_end - t0)
     steps = 0
     finite = True  # whether the last trial step was finite
@@ -302,17 +314,33 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
                 last_good_time=t)
         h_step = min(h, t_end - t)
 
-        for i in range(1, 7):
-            yi = y + h_step * _combine(_A_TERMS[i], K)
-            K[i] = f(t + _STAGE_C[i] * h_step, yi)
+        k1 = f(t + c1 * h_step, array(
+            [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])).tolist()
+        k2 = f(t + c2 * h_step, array(
+            [y_ + h_step * (a20 * p0 + a21 * p1)
+             for y_, p0, p1 in zip(y, k0, k1)])).tolist()
+        k3 = f(t + c3 * h_step, array(
+            [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
+             for y_, p0, p1, p2 in zip(y, k0, k1, k2)])).tolist()
+        k4 = f(t + c4 * h_step, array(
+            [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+             for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])).tolist()
+        k5 = f(t + c5 * h_step, array(
+            [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+             for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])).tolist()
         # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight on
-        # the 7th stage, so the 7th stage ran at the new state.
-        y_new = yi
-        finite = np.isfinite(y_new).all() and np.isfinite(K[6]).all()
+        # the 7th stage, so the 7th stage runs at the new state.
+        y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+                 for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
+        k6 = f(t + c6 * h_step, array(y_new)).tolist()
+        finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
         if finite:
-            abs_y_new = np.abs(y_new)
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
-            err = _error_norm(h_step * _combine(_ERR_TERMS, K) / scale)
+            abs_y_new = list(map(abs, y_new))
+            err = math.sqrt(_sumsq([
+                h_step * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
+                / (abs_tol + rel_tol * (a if a > b else b))
+                for a, b, p0, p2, p3, p4, p5, p6
+                in zip(abs_y, abs_y_new, k0, k2, k3, k4, k5, k6)]) / n)
         else:
             err = math.inf
 
@@ -324,13 +352,13 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
                     g_end = np.searchsorted(grid, bound, side="right")
                     rows[gi:g_end] = _hermite(
                         np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
-                        y, y_new, K[0], K[6])
+                        array(y), array(y_new), array(k0), array(k6))
                     gi = g_end
             else:
                 dense_t.append(t_new)
                 dense_y.append(y_new)
-            t, y, abs_y = t_new, y_new, abs_y_new
-            K[0] = K[6]
+            t, y, abs_y, k0 = t_new, y_new, abs_y_new, k6
+            # 0.0 ** -0.2 raises in Python
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
         else:  # reject and retry with a smaller step
@@ -363,26 +391,3 @@ def pair_system(sys: ComposedSystem) -> ComposedSystem:
         state_names=tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)),
         scenario_id=sys.scenario_id,
     )
-
-
-def integrate_pair(
-    sys: ComposedSystem,
-    input_signal: InputSignal,
-    x0_a: np.ndarray,
-    x0_b: np.ndarray,
-    t_span: tuple[float, float],
-    cfg: IntegratorConfig = IntegratorConfig(),
-    output_grid: np.ndarray | None = None,
-) -> tuple[Trajectory, Trajectory]:
-    """Integrate two initial states of the same system on one shared time
-    grid and one shared step sequence (see ``pair_system``)."""
-    x0_a = np.asarray(x0_a, dtype=float)
-    x0_b = np.asarray(x0_b, dtype=float)
-    if x0_a.shape != (sys.dim,) or x0_b.shape != (sys.dim,):
-        raise ValueError(f"both initial states must have shape ({sys.dim},)")
-    n = sys.dim
-    traj = integrate(pair_system(sys), input_signal, np.concatenate([x0_a, x0_b]),
-                     t_span, cfg, output_grid)
-    ta = Trajectory(traj.times, traj.states[:, :n], sys.state_names)
-    tb = Trajectory(traj.times.copy(), traj.states[:, n:], sys.state_names)
-    return ta, tb

@@ -74,18 +74,27 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("t_end, step", [("10", "3"), ("12", "5")])
-def test_coarse_grid_gives_null_verdict(tmp_path, capsys, t_end, step):
-    # too short (9 time units) or too few tail samples for a steady-state
-    # verdict: the run still succeeds and says so
+@pytest.mark.parametrize("t_end, step, times", [
+    ("10", "3", [0.0, 3.0, 6.0, 10.0]),
+    ("12", "5", [0.0, 5.0, 12.0]),
+    ("0.01", "0.05", [0.0, 0.01]),
+], ids=["10-3", "12-5", "0.01-0.05"])
+def test_coarse_grid_gives_null_verdict(tmp_path, capsys, t_end, step, times):
+    # too few tail samples for a steady-state verdict: the run still
+    # succeeds and says so; the last row, the span and the tail window all
+    # end at t_end, although the step does not divide the span
     rc = main(["simulate", "--scenario", "example1", "--t-end", t_end,
                "--grid-step", step, "--out-dir", str(tmp_path)])
     assert rc == 0
     assert "converged: None" in capsys.readouterr().out
-    assert (tmp_path / "trajectory.csv").read_text().startswith("t,x,p,")
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert lines[0].startswith("t,x,p,")
+    assert [float(line.split(",")[0]) for line in lines[1:]] == times
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is None and report["steady_state"] is None
+    assert report["t_span"] == [0.0, float(t_end)]
     assert report["tail_stats"]["variable"] == "p"
+    assert report["tail_stats"]["window"][1] == float(t_end)
 
 
 def test_replay_rejects_foreign_manifest(tmp_path):

@@ -1,5 +1,7 @@
 """Integrator contract: accuracy, grid handling, determinism, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,26 +10,28 @@ from entrain.blocks import (
     Saturation,
     VectorField,
     compose_autonomous,
+    compose_cascade,
     compose_example1,
     compose_example2,
+    lorenz_field,
 )
+from entrain.lti import LtiSystem
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import (
-    _A_TERMS,
     _DP_A,
     _DP_B5,
+    _DP_C,
     _DP_ERR,
-    _ERR_TERMS,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _SAFETY,
     DivergenceError,
     IntegratorConfig,
     StepBudgetError,
     StiffnessError,
-    _combine,
-    _error_norm,
     _hermite,
-    _terms,
+    _sumsq,
     integrate,
-    integrate_pair,
     pair_system,
 )
 
@@ -102,6 +106,13 @@ def test_dense_mode_returns_internal_steps():
     assert traj.times[-1] == pytest.approx(2.0, abs=1e-12)
     assert np.all(np.diff(traj.times) > 0)
     np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.times), rtol=1e-7)
+
+
+def test_rhs_of_the_wrong_length_is_rejected():
+    short = compose_autonomous(VectorField(3, lambda z: -z[:1]), "short")
+    for grid in (None, np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match="length 1 for a state of length 3"):
+            integrate(short, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
 
 
 def test_grid_validation():
@@ -197,19 +208,24 @@ def test_step_budget_error():
                   IntegratorConfig(max_steps=3))
 
 
+def _pair_halves(sys, x0_a, x0_b, t_span, output_grid):
+    """Integrate two starts of ``sys`` jointly; the two halves' states."""
+    traj = integrate(pair_system(sys), U0, np.concatenate([x0_a, x0_b]), t_span,
+                     output_grid=output_grid)
+    return traj.states[:, :sys.dim], traj.states[:, sys.dim:]
+
+
 def test_pair_identical_starts_stay_bitwise_equal():
     x0 = np.array([1.0, 1.0, 1.0])
-    a, b = integrate_pair(LORENZ, U0, x0, x0.copy(), (0.0, 5.0),
-                          output_grid=np.linspace(0.0, 5.0, 51))
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.times, b.times)
+    a, b = _pair_halves(LORENZ, x0, x0.copy(), (0.0, 5.0), np.linspace(0.0, 5.0, 51))
+    assert a.tobytes() == b.tobytes()
 
 
 def test_pair_contraction_matches_linear_rate():
     # on dz = -z the separation of any two starts decays exactly like e^-t
-    a, b = integrate_pair(DECAY, U0, np.array([0.0]), np.array([3.0]),
-                          (0.0, 5.0), output_grid=np.array([5.0]))
-    sep = abs(a.final_state[0] - b.final_state[0])
+    a, b = _pair_halves(DECAY, np.array([0.0]), np.array([3.0]), (0.0, 5.0),
+                        np.array([5.0]))
+    sep = abs(a[-1, 0] - b[-1, 0])
     assert sep == pytest.approx(3.0 * np.exp(-5.0), rel=0.01)
 
 
@@ -219,9 +235,9 @@ def test_pair_chaotic_separation_grows():
     warm = integrate(LORENZ, U0, np.array([1.0, 1.0, 1.0]), (0.0, 25.0),
                      output_grid=np.array([25.0]))
     x_on = warm.final_state
-    a, b = integrate_pair(LORENZ, U0, x_on, x_on + np.array([1e-9, 0.0, 0.0]),
-                          (0.0, 20.0), output_grid=np.array([20.0]))
-    growth = np.linalg.norm(a.final_state - b.final_state) / 1e-9
+    a, b = _pair_halves(LORENZ, x_on, x_on + np.array([1e-9, 0.0, 0.0]),
+                        (0.0, 20.0), np.array([20.0]))
+    growth = np.linalg.norm(a[-1] - b[-1]) / 1e-9
     assert growth > 1e3
 
 
@@ -234,8 +250,8 @@ def test_trajectory_column_accessor():
         traj.column("bogus")
 
 
-# The solver's fused stage sums, error norm and column Hermite call must give
-# the same bits as the plain per-term loop, np.mean and per-point calls.
+# The step's stage sums, error norm and column Hermite call must give the
+# same bits as the plain per-term loop, np.mean and per-point calls.
 
 
 def _combine_loop(coeffs, K, n_terms):
@@ -263,32 +279,44 @@ def _random_stages(rng, dim, stages=7):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
 
 
+class _StopStep(Exception):
+    pass
+
+
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_combine_matches_loop_bitwise(dim):
+    # Feed the first step chosen stage derivatives and record the stage
+    # inputs it asks for: each is y + h * (the per-term loop over its row).
     rng = np.random.default_rng(dim)
-    rows = [(_A_TERMS[i], _DP_A[i], i) for i in range(1, 7)]
-    rows += [(_terms(_DP_B5), _DP_B5, 7), (_ERR_TERMS, _DP_ERR, 7)]
+    h = 0.0137
     for _ in range(20):
         K = _random_stages(rng, dim)
-        for terms, coeffs, n_terms in rows:
-            assert _combine(terms, K).tobytes() == _combine_loop(coeffs, K, n_terms).tobytes()
+        x0 = _random_stages(rng, dim, 1)[0]
+        inputs = []
+
+        def field(z):
+            inputs.append(z.copy())
+            if len(inputs) == 7:
+                raise _StopStep
+            return K[len(inputs) - 1]
+
+        fed = compose_autonomous(VectorField(dim, field), "fed")
+        with pytest.raises(_StopStep):
+            integrate(fed, U0, x0, (0.0, 1.0), IntegratorConfig(h_init=h))
+        assert inputs[0].tobytes() == x0.tobytes()
+        for i in range(1, 6):
+            assert inputs[i].tobytes() == (x0 + h * _combine_loop(_DP_A[i], K, i)).tobytes()
         # first-same-as-last: the last stage's input is the 5th-order result
-        assert (_combine(_A_TERMS[6], K).tobytes()
-                == _combine_loop(_DP_B5, K, 7).tobytes())
-    # longer rows than DOPRI5's, with and without gaps: the sum stays in order
-    for _ in range(20):
-        K = _random_stages(rng, dim, 12)
-        for coeffs in (rng.standard_normal(12), np.repeat([1.5, 0.0, -0.3], 4)):
-            assert (_combine(_terms(coeffs), K).tobytes()
-                    == _combine_loop(coeffs, K, 12).tobytes())
+        assert inputs[6].tobytes() == (x0 + h * _combine_loop(_DP_B5, K, 7)).tobytes()
 
 
 @pytest.mark.parametrize("size", [*range(1, 13), 40, 1000])
 def test_error_norm_matches_numpy_mean_bitwise(size):
+    # the step's error norm, math.sqrt(_sumsq(q) / n), against numpy's mean
     rng = np.random.default_rng(size)
     for _ in range(20):
         q = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
-        assert (np.float64(_error_norm(q)).tobytes()
+        assert (np.float64(math.sqrt(_sumsq(q.tolist()) / size)).tobytes()
                 == np.sqrt(np.mean(q ** 2)).tobytes())
 
 
@@ -337,3 +365,185 @@ def test_sinusoid_returns_python_float_of_numpy_sin():
         u = sig(float(t))
         assert type(u) is float
         assert np.float64(u).tobytes() == (1.3 * np.sin(2.1 * t + 0.4)).tobytes()
+
+
+# The float kernel against the numpy DOPRI5 step it replaced: same tableau,
+# same controller, stage sums by np.add.accumulate and the error norm by
+# np.add.reduce. Every time and state must match bit for bit.
+
+def _ref_terms(coeffs):
+    idx = np.flatnonzero(coeffs)
+    contiguous = idx[-1] - idx[0] == idx.size - 1
+    sel = slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx
+    return sel, coeffs[idx][:, None]
+
+
+_REF_A_TERMS = [None] + [_ref_terms(np.array(row)) for row in _DP_A[1:]]
+_REF_ERR_TERMS = _ref_terms(np.array(_DP_ERR))
+
+
+def _ref_combine(terms, K):
+    sel, c = terms
+    return np.add.accumulate(c * K[sel], axis=0)[-1]
+
+
+def _ref_error_norm(q):
+    return math.sqrt(np.add.reduce(q * q) / q.size)
+
+
+def _ref_dp45(f, x0, t0, t_end, cfg, grid):
+    rows = None if grid is None else np.empty((grid.size, x0.size))
+    dense_t, dense_y = [t0], [x0]
+    gi = 0
+    if grid is not None and grid[0] == t0:
+        rows[0] = x0
+        gi = 1
+
+    K = np.empty((7, x0.size))
+    t, y = t0, x0
+    K[0] = f(t, y)
+    if not np.isfinite(K[0]).all():
+        raise DivergenceError("derivative non-finite at initial state",
+                              last_good_time=t0)
+    abs_y = np.abs(y)
+    h = min(cfg.h_init, t_end - t0)
+    steps = 0
+    finite = True
+    eps_end = 1e-14 * max(1.0, abs(t_end))
+    while t < t_end - eps_end:
+        if steps >= cfg.max_steps:
+            raise StepBudgetError("exceeded max_steps", last_good_time=t)
+        steps += 1
+        if h < cfg.h_min:
+            if not finite:
+                raise DivergenceError("non-finite", last_good_time=t)
+            raise StiffnessError("h below h_min", last_good_time=t)
+        h_step = min(h, t_end - t)
+
+        for i in range(1, 7):
+            yi = y + h_step * _ref_combine(_REF_A_TERMS[i], K)
+            K[i] = f(t + _DP_C[i] * h_step, yi)
+        y_new = yi
+        finite = np.isfinite(y_new).all() and np.isfinite(K[6]).all()
+        if finite:
+            abs_y_new = np.abs(y_new)
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y_new)
+            err = _ref_error_norm(h_step * _ref_combine(_REF_ERR_TERMS, K) / scale)
+        else:
+            err = math.inf
+
+        if err <= 1.0:
+            t_new = t + h_step
+            if grid is not None:
+                bound = t_new + 1e-14 * max(1.0, abs(t_new))
+                if gi < grid.size and grid[gi] <= bound:
+                    g_end = np.searchsorted(grid, bound, side="right")
+                    rows[gi:g_end] = _hermite(
+                        np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
+                        y, y_new, K[0], K[6])
+                    gi = g_end
+            else:
+                dense_t.append(t_new)
+                dense_y.append(y_new)
+            t, y, abs_y = t_new, y_new, abs_y_new
+            K[0] = K[6]
+            factor = _MAX_FACTOR if err == 0.0 else min(
+                _MAX_FACTOR, _SAFETY * err ** -0.2)
+        else:
+            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+        h = min(cfg.h_max, h_step * factor)
+
+    if grid is None:
+        return np.array(dense_t), np.array(dense_y)
+    while gi < grid.size:
+        rows[gi] = y
+        gi += 1
+    return grid.copy(), rows
+
+
+def _assert_matches_reference(sys, signal, x0, t_span, cfg=IntegratorConfig(),
+                              output_grid=None):
+    """Run ``integrate`` and the reference step, require the same bits, and
+    return how many RHS calls the reference made."""
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return sys.rhs(t, y, signal(t))
+
+    x0 = np.asarray(x0, dtype=float)
+    grid = None if output_grid is None else np.asarray(output_grid, dtype=float)
+    with np.errstate(all="ignore"):
+        times, states = _ref_dp45(f, x0, t_span[0], t_span[1], cfg, grid)
+    n_ref = len(calls)
+    traj = integrate(sys, signal, x0, t_span, cfg, output_grid)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    return n_ref
+
+
+def _two_state_filter_cascade():
+    # W(s) = s / ((s + 1)(s + 2)), as in test_blocks
+    filt = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[0.0, 1.0], D=0.0)
+    return compose_cascade(filt, Saturation(0.1), lorenz_field())
+
+
+EXAMPLE_X0 = [5.0, 0.0, 1.0, 0.0, 0.0]
+REFERENCE_CASES = {
+    "example1-const": (compose_example1, Constant(10.0), EXAMPLE_X0, 10.0),
+    "example1-sin": (compose_example1, Sinusoid(), EXAMPLE_X0, 10.0),
+    "example2-const": (compose_example2, Constant(-3.0), EXAMPLE_X0, 10.0),
+    "example2-sin": (compose_example2, Sinusoid(), EXAMPLE_X0, 10.0),
+    "pair-example1": (lambda: pair_system(compose_example1()), Sinusoid(),
+                      EXAMPLE_X0 + [5.0, 0.0, 1.0 + 1e-8, 0.0, 0.0], 5.0),
+    "two-state-filter": (_two_state_filter_cascade, Constant(7.0),
+                         [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
+    "lorenz": (lambda: LORENZ, U0, [1.0, 1.0, 1.0], 5.0),
+}
+
+
+@pytest.mark.parametrize("gridded", [False, True], ids=["dense", "grid"])
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_kernel_matches_numpy_reference_bitwise(case, gridded):
+    build, signal, x0, t_end = REFERENCE_CASES[case]
+    grid = np.arange(0.0, t_end, 0.05) if gridded else None
+    _assert_matches_reference(build(), signal, x0, (0.0, t_end), output_grid=grid)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 13), 16, 17, 20])
+def test_kernel_matches_numpy_reference_on_linear_systems(dim):
+    # a random stable linear system: the error norm's sum runs its short
+    # loop (dim < 8), its 8 partial sums and its remainder terms
+    rng = np.random.default_rng(dim)
+    M = rng.standard_normal((dim, dim))
+    A = M - M.T - np.diag(rng.uniform(0.5, 3.0, dim))
+    sys = compose_autonomous(VectorField(dim, lambda z: A @ z), "linear")
+    x0 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
+    _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
+    _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
+                              output_grid=np.linspace(0.0, 3.0, 31))
+
+
+def test_kernel_matches_numpy_reference_with_rejected_steps():
+    # a tight tolerance and a large first step: the controller rejects steps
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, h_init=0.1)
+    n_calls = _assert_matches_reference(compose_example1(), Sinusoid(), EXAMPLE_X0,
+                                        (0.0, 2.0), cfg)
+    accepted = integrate(compose_example1(), Sinusoid(), np.array(EXAMPLE_X0),
+                         (0.0, 2.0), cfg).times.size - 1
+    assert n_calls > 1 + 6 * accepted  # each rejected trial costs 6 more calls
+
+
+def test_kernel_matches_numpy_reference_through_nonfinite_trials():
+    cubic = compose_autonomous(VectorField(1, lambda z: -z ** 3), "cubic")
+    _assert_matches_reference(cubic, U0, [1e3], (0.0, 10.0))
+    _assert_matches_reference(cubic, U0, [1e3], (0.0, 10.0),
+                              output_grid=np.array([10.0]))
+
+
+def test_sumsq_matches_numpy_pairwise_sum_bitwise():
+    rng = np.random.default_rng(8)
+    for size in range(1, 301):
+        for _ in range(10):
+            q = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 3, size)
+            assert np.float64(_sumsq(q.tolist())).tobytes() == np.add.reduce(q * q).tobytes()
