@@ -13,6 +13,12 @@ They are the paper's equations written out by hand, and the fast path.
 ``compose_cascade`` builds the same cascade around arbitrary ingredient
 blocks; with the bundled blocks it reproduces example1 bit for bit and
 example2 to rounding.
+
+A system's RHS takes the state as a list of Python floats and returns a new
+list (see ``ComposedSystem``). The example RHSs work on the floats directly;
+``compose_cascade`` and ``compose_autonomous`` convert to numpy at their
+boundary, because filters carry matrices and ``VectorField.rhs`` takes and
+returns numpy arrays.
 """
 
 from __future__ import annotations
@@ -85,12 +91,14 @@ class ComposedSystem:
     """Input-driven ODE assembled from blocks.
 
     ``rhs(t, state, u)`` returns the state derivative; time enters only
-    through the input value u. ``state_names`` labels each state column, in
+    through the input value u. ``state`` is a list of Python floats, which
+    the RHS must not change, and the derivative is a new list of the same
+    length. ``state_names`` labels each state column, in
     order, for CSV output and diagnostics lookups; ``dim`` is its length.
     ``layout`` maps block names to state indices (a partition of 0..dim-1).
     """
 
-    rhs: Callable[[float, np.ndarray, float], np.ndarray]
+    rhs: Callable[[float, list[float], float], list[float]]
     layout: dict[str, tuple[int, ...]]
     state_names: tuple[str, ...]
     scenario_id: str
@@ -164,16 +172,16 @@ def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> C
     sat = Saturation(K)
     s, r, b = params.s, params.r, params.b
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, p, xi, psi, zeta = state.tolist()
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        x, p, xi, psi, zeta = state
         y = x + u
-        return np.array([
+        return [
             -x - u,
             -p + sat(y),
             p * (s * (psi - xi)),
             p * (r * xi - psi - xi * zeta),
             p * (xi * psi - b * zeta),
-        ])
+        ]
 
     return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
                           state_names=EXAMPLE_STATE_NAMES, scenario_id="example1")
@@ -193,16 +201,16 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
     """
     sat = Saturation(K)
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        x, p, xi, psi, zeta = state.tolist()
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        x, p, xi, psi, zeta = state
         y = x + u
-        return np.array([
+        return [
             -x - u,
             -p + sat(y),
             10.0 * (psi - xi),
             28.0 * p * xi - psi - p * xi * zeta,
             p * xi * psi - (8.0 / 3.0) * zeta,
-        ])
+        ]
 
     return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
                           state_names=EXAMPLE_STATE_NAMES, scenario_id="example2")
@@ -237,7 +245,8 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
     g1 = f1.rhs
     g0 = None if f0 is None else f0.rhs
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        state = np.array(state)
         x = state[:n]
         p = state[n]
         z = state[n + 1:]
@@ -246,7 +255,7 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
         out[:n] = A @ x + B * u
         out[n] = -p + sat(y)
         out[n + 1:] = p * g1(z) if g0 is None else p * g1(z) + (1.0 - p) * g0(z)
-        return out
+        return out.tolist()
 
     layout, names = _cascade_layout(n, zdim)
     return ComposedSystem(rhs=rhs, layout=layout, state_names=names,
@@ -259,8 +268,8 @@ def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> C
     Used for reference runs such as the plain Lorenz attractor (p fixed at 1).
     """
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        return field.rhs(state)
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        return field.rhs(np.array(state)).tolist()
 
     return ComposedSystem(
         rhs=rhs,

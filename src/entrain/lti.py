@@ -21,7 +21,6 @@ __all__ = [
     "transfer_eval",
     "has_zero_at_origin",
     "sinusoid_steady_state",
-    "lti_rhs",
 ]
 
 # eigenvalues this close to the evaluation point make (sI - A) numerically singular
@@ -99,13 +98,3 @@ def sinusoid_steady_state(sys: LtiSystem, omega: float) -> tuple[float, float]:
     if phase <= -np.pi:
         phase = np.pi
     return amplitude, phase
-
-
-def lti_rhs(sys: LtiSystem, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
-    """One right-hand-side evaluation: dx = A x + B u and output y = C x + D u."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"state must have shape ({sys.n},), got {x.shape}")
-    dx = sys.A @ x + sys.B * u
-    y = float(sys.C @ x + sys.D * u)
-    return dx, y

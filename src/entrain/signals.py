@@ -9,6 +9,7 @@ integrations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ __all__ = [
     "Constant",
     "Sinusoid",
     "Sampled",
-    "eval_input",
     "parse_input_spec",
 ]
 
@@ -46,6 +46,10 @@ class Constant(InputSignal):
 
     value: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"constant input must be finite, got {self.value}")
+
     def __call__(self, t: float) -> float:
         return self.value
 
@@ -63,6 +67,8 @@ class Sinusoid(InputSignal):
     phase: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.omega, self.phase))):
+            raise ValueError(f"sinusoid parameters must be finite, got {self}")
         if not self.omega > 0:
             raise ValueError(f"sinusoid omega must be positive, got {self.omega}")
 
@@ -112,13 +118,6 @@ class Sampled(InputSignal):
         return self.source if self.source else f"sampled:{self.times.size}pts"
 
 
-def eval_input(sig: InputSignal, t: float) -> float:
-    """Evaluate u(t). Thin functional alias for ``sig(t)``."""
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    return float(sig(t))
-
-
 def parse_input_spec(spec: str) -> InputSignal:
     """Parse the CLI input grammar.
 
@@ -129,9 +128,10 @@ def parse_input_spec(spec: str) -> InputSignal:
     kind, _, rest = spec.partition(":")
     if kind == "const":
         try:
-            return Constant(float(rest))
+            value = float(rest)
         except ValueError:
             raise ValueError(f"bad constant input spec {spec!r}") from None
+        return Constant(value)
     if kind == "sin":
         parts = rest.split(":") if rest else []
         if len(parts) not in (2, 3):

@@ -13,6 +13,11 @@ of Python floats and sums each stage's terms strictly left to right, as a
 per-term loop does, so a state component rounds the same way whatever else
 shares the state vector: two identical copies stacked by ``pair_system``
 evolve bit for bit alike.
+
+Every RHS call gets the state as a list of Python floats and must return a
+list of the same length (the ``ComposedSystem.rhs`` contract), so the
+adaptive step converts nothing between stages. The fixed-step RK4 keeps a
+numpy state and converts at the RHS boundary.
 """
 
 from __future__ import annotations
@@ -190,16 +195,20 @@ def integrate(
     times equal the requested grid exactly.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"t_span must be finite, got {t_span}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise ValueError(f"x0 must have shape ({sys.dim},), got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0}")
     if t_end < t0:
         raise ValueError(f"t_span must increase, got {t_span}")
 
     if output_grid is not None:
         grid = np.asarray(output_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("output_grid must be a non-empty 1-D array")
+        if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+            raise ValueError("output_grid must be a non-empty 1-D array of finite times")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("output_grid must be strictly increasing")
         if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
@@ -207,24 +216,38 @@ def integrate(
     else:
         grid = None
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
+    def f(t: float, y: list[float]) -> list[float]:
         return sys.rhs(t, y, input_signal(t))
 
     run = _run_rk4 if cfg.method == RK4_FIXED else _run_dp45
     # The runners reject or raise on non-finite values themselves, so numpy's
     # element-wise warnings (say, from a rejected trial step) are only noise.
     with np.errstate(all="ignore"):
-        times, states = run(f, x0, t0, t_end, cfg, grid)
+        y0 = x0.tolist()
+        k0 = f(t0, y0)
+        if len(k0) != len(y0):  # zip would drop, numpy would broadcast
+            raise ValueError(f"the right-hand side returned a vector of length "
+                             f"{len(k0)} for a state of length {len(y0)}")
+        times, states = run(f, y0, k0, t0, t_end, cfg, grid)
     return Trajectory(times, states, sys.state_names)
 
 
-def _run_rk4(f, x0, t0, t_end, cfg, grid):
+def _run_rk4(f, y0, k0, t0, t_end, cfg, grid):
     """Classical RK4 with step h_init, subdividing each inter-target interval
-    evenly so targets (grid points and t_end) are hit exactly."""
+    evenly so targets (grid points and t_end) are hit exactly.
+
+    The state is a numpy array; the RHS gets it as a list and its result is
+    converted back. ``k0 = f(t0, y0)`` serves as the first step's k1.
+    """
+    def g(t, y):
+        return np.array(f(t, y.tolist()))
+
+    x0 = np.array(y0)
     targets = [t_end] if grid is None else list(grid)
     rows = None if grid is None else np.empty((len(targets), x0.size))
     dense_t, dense_y = [t0], [x0]
     t, y = t0, x0
+    k1 = np.array(k0)
     steps = 0
     for gi, target in enumerate(targets):
         span = target - t
@@ -236,11 +259,12 @@ def _run_rk4(f, x0, t0, t_end, cfg, grid):
                 if steps >= cfg.max_steps:
                     raise StepBudgetError(
                         f"exceeded max_steps={cfg.max_steps}", last_good_time=t)
+                if steps:
+                    k1 = g(t, y)
                 steps += 1
-                k1 = f(t, y)
-                k2 = f(t + h / 2, y + (h / 2) * k1)
-                k3 = f(t + h / 2, y + (h / 2) * k2)
-                k4 = f(t + h, y + h * k3)
+                k2 = g(t + h / 2, y + (h / 2) * k1)
+                k3 = g(t + h / 2, y + (h / 2) * k2)
+                k4 = g(t + h, y + h * k3)
                 y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 t = base + (i + 1) * h
                 if not np.all(np.isfinite(y)):
@@ -257,7 +281,7 @@ def _run_rk4(f, x0, t0, t_end, cfg, grid):
     return grid.copy(), rows
 
 
-def _run_dp45(f, x0, t0, t_end, cfg, grid):
+def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
     """Dormand-Prince 4(5) with step control on the RMS of the scaled error.
 
     A trial step with a non-finite stage or result is rejected like one with
@@ -269,28 +293,25 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
     the overhead of numpy calls. Each stage sums its terms left to right, skipping
     zero weights, and Python neither reorders nor fuses float operations, so
     every component rounds as the per-term loop ``acc += a[k] * K[k]`` does,
-    whatever the state's size. The RHS still gets and returns numpy arrays.
+    whatever the state's size. Each stage's list goes to ``f`` as it is, and
+    ``k0 = f(t0, y0)`` is the first stage. Only grid rows use numpy.
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_ERR
     c1, c2, c3, c4, c5, c6 = _DP_C[1:]
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    array, isfinite = np.array, math.isfinite
-    n = x0.size
+    isfinite = math.isfinite
+    n = len(y0)
 
     rows = None if grid is None else np.empty((grid.size, n))
-    t, y = t0, x0.tolist()
+    t, y = t0, y0
     dense_t, dense_y = [t], [y]
     gi = 0
     if grid is not None and grid[0] == t0:
         rows[0] = y
         gi = 1
 
-    k0 = f(t, x0).tolist()
-    if len(k0) != n:  # zip would silently drop the extra state components
-        raise ValueError(f"the right-hand side returned a vector of length "
-                         f"{len(k0)} for a state of length {n}")
     if not all(map(isfinite, k0)):
         raise DivergenceError("derivative non-finite at initial state",
                               last_good_time=t0)
@@ -314,25 +335,25 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
                 last_good_time=t)
         h_step = min(h, t_end - t)
 
-        k1 = f(t + c1 * h_step, array(
-            [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])).tolist()
-        k2 = f(t + c2 * h_step, array(
-            [y_ + h_step * (a20 * p0 + a21 * p1)
-             for y_, p0, p1 in zip(y, k0, k1)])).tolist()
-        k3 = f(t + c3 * h_step, array(
-            [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
-             for y_, p0, p1, p2 in zip(y, k0, k1, k2)])).tolist()
-        k4 = f(t + c4 * h_step, array(
-            [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-             for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])).tolist()
-        k5 = f(t + c5 * h_step, array(
-            [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-             for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])).tolist()
+        k1 = f(t + c1 * h_step,
+               [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])
+        k2 = f(t + c2 * h_step,
+               [y_ + h_step * (a20 * p0 + a21 * p1)
+                for y_, p0, p1 in zip(y, k0, k1)])
+        k3 = f(t + c3 * h_step,
+               [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
+                for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
+        k4 = f(t + c4 * h_step,
+               [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+                for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
+        k5 = f(t + c5 * h_step,
+               [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
         # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight on
         # the 7th stage, so the 7th stage runs at the new state.
         y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
                  for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-        k6 = f(t + c6 * h_step, array(y_new)).tolist()
+        k6 = f(t + c6 * h_step, y_new)
         finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
         if finite:
             abs_y_new = list(map(abs, y_new))
@@ -352,7 +373,7 @@ def _run_dp45(f, x0, t0, t_end, cfg, grid):
                     g_end = np.searchsorted(grid, bound, side="right")
                     rows[gi:g_end] = _hermite(
                         np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
-                        array(y), array(y_new), array(k0), array(k6))
+                        np.array(y), np.array(y_new), np.array(k0), np.array(k6))
                     gi = g_end
             else:
                 dense_t.append(t_new)
@@ -382,8 +403,8 @@ def pair_system(sys: ComposedSystem) -> ComposedSystem:
     """
     n = sys.dim
 
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        return np.concatenate((sys.rhs(t, state[:n], u), sys.rhs(t, state[n:], u)))
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        return sys.rhs(t, state[:n], u) + sys.rhs(t, state[n:], u)
 
     return ComposedSystem(
         rhs=rhs,

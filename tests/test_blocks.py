@@ -107,7 +107,7 @@ def test_example2_rhs_hand_computed():
 
 def test_example2_origin_is_equilibrium_to_machine_precision():
     sys = compose_example2()
-    out = sys.rhs(0.0, np.zeros(5), 0.0)
+    out = np.asarray(sys.rhs(0.0, [0.0] * 5, 0.0))
     assert np.all(out == 0.0)
 
 

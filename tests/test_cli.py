@@ -132,6 +132,14 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert err.count("error:") == 5
 
 
+@pytest.mark.parametrize("arg", ["--input=const:nan", "--input=sin:inf:1",
+                                 "--input=sin:1:inf", "--x0=nan,0,1,0,0"])
+def test_nonfinite_arguments_exit_2(arg, tmp_path, capsys):
+    assert main(["lyapunov", "--scenario", "example1", arg,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_divergence_exits_3_and_names_last_good_time(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "general",
                "--x0", "0,1,1e200,1e200,0", "--t-end", "5",

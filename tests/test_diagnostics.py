@@ -145,7 +145,7 @@ def test_lyapunov_needs_a_z_block():
 
     def rhs(t, state, u):
         calls.append(t)
-        return -state
+        return [-v for v in state]
 
     no_z = ComposedSystem(rhs, {"x": (0,)}, ("x",), "no-z")
     with pytest.raises(ValueError, match="no 'z' block"):

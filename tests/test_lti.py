@@ -5,7 +5,6 @@ from entrain.blocks import filter_one
 from entrain.lti import (
     LtiSystem,
     has_zero_at_origin,
-    lti_rhs,
     sinusoid_steady_state,
     transfer_eval,
 )
@@ -59,18 +58,6 @@ def test_transfer_eval_near_pole_raises():
     # the filter has a pole at s = -1; evaluation there is singular
     with pytest.raises(ValueError):
         transfer_eval(F1, -1.0)
-
-
-def test_lti_rhs_linear_dynamics():
-    dx, y = lti_rhs(F1, np.array([2.0]), 3.0)
-    # dx = A x + B u = -2 - 3; y = C x + D u = 2 + 3
-    assert dx[0] == pytest.approx(-5.0)
-    assert y == pytest.approx(5.0)
-
-
-def test_lti_rhs_shape_check():
-    with pytest.raises(ValueError):
-        lti_rhs(F1, np.array([1.0, 2.0]), 0.0)
 
 
 def test_normalization_from_nested_lists():

@@ -16,7 +16,7 @@ def test_every_scenario_builds_and_evaluates():
         sys = build_system(name)
         assert sys.dim == 5
         state = rng.uniform(-2, 2, size=5)
-        out = sys.rhs(0.0, state, 1.3)
+        out = np.asarray(sys.rhs(0.0, state.tolist(), 1.3))
         assert out.shape == (5,)
         assert np.all(np.isfinite(out))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entrain.signals import Constant, Sampled, Sinusoid, eval_input, parse_input_spec
+from entrain.signals import Constant, Sampled, Sinusoid, parse_input_spec
 
 
 def test_constant_is_constant():
@@ -54,9 +54,20 @@ def test_sampled_validates_grid():
         Sampled(times=(0.0, np.inf), values=(1.0, 2.0), source="mem")
 
 
-def test_eval_input_rejects_nonfinite_time():
-    with pytest.raises(ValueError):
-        eval_input(Constant(1.0), np.nan)
+@pytest.mark.parametrize("make", [
+    lambda: Constant(np.nan),
+    lambda: Constant(-np.inf),
+    lambda: Sinusoid(amplitude=np.inf),
+    lambda: Sinusoid(omega=np.inf),
+    lambda: Sinusoid(phase=np.nan),
+    lambda: parse_input_spec("const:nan"),
+    lambda: parse_input_spec("sin:inf:1"),
+    lambda: parse_input_spec("sin:1:inf"),
+], ids=["const-nan", "const-inf", "sin-amplitude-inf", "sin-omega-inf",
+        "sin-phase-nan", "spec-const-nan", "spec-sin-inf-1", "spec-sin-1-inf"])
+def test_nonfinite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 def test_parse_const_and_sin():

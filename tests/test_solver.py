@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrain.blocks import (
+    ComposedSystem,
     LorenzParams,
     Saturation,
     VectorField,
@@ -110,9 +111,41 @@ def test_dense_mode_returns_internal_steps():
 
 def test_rhs_of_the_wrong_length_is_rejected():
     short = compose_autonomous(VectorField(3, lambda z: -z[:1]), "short")
+    for method in ("rk45_adaptive", "rk4_fixed"):
+        for grid in (None, np.array([0.5, 1.0])):
+            with pytest.raises(ValueError, match="length 1 for a state of length 3"):
+                integrate(short, U0, np.ones(3), (0.0, 1.0),
+                          IntegratorConfig(method=method), grid)
+
+
+@pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+def test_integrate_hands_the_rhs_lists_of_floats(method):
+    states = []
+
+    def rhs(t, state, u):
+        states.append(state)
+        return [-v for v in state]
+
+    sys = ComposedSystem(rhs, {"z": (0, 1)}, ("a", "b"), "lists")
     for grid in (None, np.array([0.5, 1.0])):
-        with pytest.raises(ValueError, match="length 1 for a state of length 3"):
-            integrate(short, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
+        integrate(sys, U0, np.array([1.0, 2.0]), (0.0, 1.0),
+                  IntegratorConfig(method=method), grid)
+    assert len(states) > 20
+    assert all(type(s) is list and len(s) == 2 and all(type(v) is float for v in s)
+               for s in states)
+
+
+@pytest.mark.parametrize("t_span, x0", [
+    ((0.0, np.inf), [1.0]),
+    ((0.0, np.nan), [1.0]),
+    ((-np.inf, 0.0), [1.0]),
+    ((0.0, 1.0), [np.nan]),
+    ((0.0, 1.0), [np.inf]),
+], ids=["end-inf", "end-nan", "start-inf", "x0-nan", "x0-inf"])
+def test_nonfinite_span_or_start_is_rejected(t_span, x0):
+    for method in ("rk45_adaptive", "rk4_fixed"):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(DECAY, U0, np.array(x0), t_span, IntegratorConfig(method=method))
 
 
 def test_grid_validation():
@@ -122,6 +155,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         integrate(DECAY, U0, np.array([1.0]), (0.0, 1.0),
                   output_grid=np.array([0.5, 0.5]))  # not increasing
+    with pytest.raises(ValueError, match="finite times"):
+        integrate(DECAY, U0, np.array([1.0]), (0.0, 1.0),
+                  output_grid=np.array([0.5, np.nan]))
     with pytest.raises(ValueError):
         integrate(DECAY, U0, np.array([1.0, 2.0]), (0.0, 1.0))  # bad x0 shape
     with pytest.raises(ValueError):
@@ -345,7 +381,16 @@ def _example_reference(which, K, state, u):
     return np.array([-x - u, -p + sat(y)] + z_dot)
 
 
+def _floats(out, n):
+    """``out`` as float64 bytes, after checking it is a list of n Python floats."""
+    assert type(out) is list and len(out) == n
+    assert all(type(v) is float for v in out)
+    return np.array(out).tobytes()
+
+
 def test_example_rhs_bitwise_under_float_and_numpy_inputs():
+    # the RHS takes a list of Python floats and returns one, with the bits
+    # of the same expressions on numpy scalars; u may be a numpy scalar
     rng = np.random.default_rng(6)
     for which, sys, K in ((1, compose_example1(), 0.1), (2, compose_example2(), 1e-4)):
         pair = pair_system(sys)
@@ -353,10 +398,10 @@ def test_example_rhs_bitwise_under_float_and_numpy_inputs():
             state = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 2, 5)
             u = float(rng.uniform(-10.0, 10.0))
             ref = _example_reference(which, K, state, u).tobytes()
-            assert sys.rhs(0.0, state, u).tobytes() == ref
-            assert sys.rhs(0.0, state, np.float64(u)).tobytes() == ref
-            both = pair.rhs(0.0, np.concatenate([state, state]), u)
-            assert both.tobytes() == 2 * ref
+            assert _floats(sys.rhs(0.0, state.tolist(), u), 5) == ref
+            assert np.array(sys.rhs(0.0, state.tolist(), np.float64(u))).tobytes() == ref
+            both = pair.rhs(0.0, state.tolist() * 2, u)
+            assert _floats(both, 10) == 2 * ref
 
 
 def test_sinusoid_returns_python_float_of_numpy_sin():
