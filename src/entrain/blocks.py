@@ -14,19 +14,19 @@ They are the paper's equations written out by hand, and the fast path.
 blocks; with the bundled blocks it reproduces example1 bit for bit and
 example2 to rounding.
 
-A system's RHS takes the state as a list of Python floats and returns a new
-list (see ``ComposedSystem``). The example RHSs work on the floats directly;
-``compose_cascade`` and ``compose_autonomous`` convert to numpy at their
-boundary, because filters carry matrices and ``VectorField.rhs`` takes and
-returns numpy arrays.
+Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
+field's ``rhs(z)`` alike, takes the state as a list of Python floats and
+returns a new list (see ``ComposedSystem`` and ``VectorField``).
+``compose_cascade`` reads the filter's matrices into nested lists once, when
+it builds the system, so no right-hand side calls numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Callable
-
-import numpy as np
 
 from .lti import LtiSystem, has_zero_at_origin, transfer_eval
 
@@ -76,10 +76,15 @@ class LorenzParams:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Autonomous vector field z -> f(z) with a declared dimension."""
+    """Autonomous vector field z -> f(z) with a declared dimension.
+
+    ``rhs(z)`` takes z as a list of ``dim`` Python floats, which it must not
+    change, and returns f(z) as a new list of ``dim`` floats. It must be a
+    list, not an array: ``pair_system`` joins two results with ``+``.
+    """
 
     dim: int
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[list[float]], list[float]]
 
     def __post_init__(self):
         if self.dim < 1:
@@ -116,14 +121,14 @@ class ComposedSystem:
         return self.layout.get("z", ())
 
 
-def lorenz_rhs(params: LorenzParams, z: np.ndarray) -> np.ndarray:
+def lorenz_rhs(params: LorenzParams, z: list[float]) -> list[float]:
     """Lorenz right-hand side at z = (xi, psi, zeta)."""
     xi, psi, zeta = z
-    return np.array([
+    return [
         params.s * (psi - xi),
         params.r * xi - psi - xi * zeta,
         xi * psi - params.b * zeta,
-    ])
+    ]
 
 
 def lorenz_field(params: LorenzParams = LorenzParams()) -> VectorField:
@@ -133,9 +138,9 @@ def lorenz_field(params: LorenzParams = LorenzParams()) -> VectorField:
 def stable_linear_field() -> VectorField:
     """The p = 0 limit of the second example: everything decays to the origin."""
 
-    def rhs(z: np.ndarray) -> np.ndarray:
+    def rhs(z: list[float]) -> list[float]:
         xi, psi, zeta = z
-        return np.array([10.0 * (psi - xi), -psi, -(8.0 / 3.0) * zeta])
+        return [10.0 * (psi - xi), -psi, -(8.0 / 3.0) * zeta]
 
     return VectorField(dim=3, rhs=rhs)
 
@@ -241,21 +246,24 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")
     _check_filter(filter1)
     n, zdim = filter1.n, f1.dim
-    A, B, C, D = filter1.A, filter1.B, filter1.C, filter1.D
+    A, B, C, D = filter1.A.tolist(), filter1.B.tolist(), filter1.C.tolist(), filter1.D
     g1 = f1.rhs
     g0 = None if f0 is None else f0.rhs
 
     def rhs(t: float, state: list[float], u: float) -> list[float]:
-        state = np.array(state)
+        # Each row is summed left to right from its first product, with no
+        # 0.0 start, so a -0.0 survives as it does in example1's -x - u.
         x = state[:n]
         p = state[n]
         z = state[n + 1:]
-        y = float(C @ x) + D * u
-        out = np.empty_like(state)
-        out[:n] = A @ x + B * u
-        out[n] = -p + sat(y)
-        out[n + 1:] = p * g1(z) if g0 is None else p * g1(z) + (1.0 - p) * g0(z)
-        return out.tolist()
+        y = reduce(add, map(mul, C, x)) + D * u
+        dx = [reduce(add, map(mul, row, x)) + b * u for row, b in zip(A, B)]
+        if g0 is None:
+            dz = [p * v for v in g1(z)]
+        else:
+            q = 1.0 - p
+            dz = [p * v1 + q * v0 for v1, v0 in zip(g1(z), g0(z))]
+        return dx + [-p + sat(y)] + dz
 
     layout, names = _cascade_layout(n, zdim)
     return ComposedSystem(rhs=rhs, layout=layout, state_names=names,
@@ -269,7 +277,7 @@ def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> C
     """
 
     def rhs(t: float, state: list[float], u: float) -> list[float]:
-        return field.rhs(np.array(state)).tolist()
+        return field.rhs(state)
 
     return ComposedSystem(
         rhs=rhs,

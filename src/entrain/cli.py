@@ -190,8 +190,6 @@ def _cmd_lyapunov(args) -> int:
         sys_obj, x0_default = build_reference_system(args.system)
         signal = parse_input_spec("const:0")
     else:
-        if args.scenario is None:
-            raise ValueError("lyapunov needs --scenario or --system")
         sys_obj = build_system(args.scenario, K=args.K)
         x0_default = default_spec(args.scenario).x0
         signal = parse_input_spec(args.input)
@@ -268,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     lya = sub.add_parser("lyapunov", help="largest Lyapunov exponent as JSON")
-    lya.add_argument("--scenario", choices=SCENARIO_IDS, default=None)
-    lya.add_argument("--system", choices=("lorenz",), default=None,
-                     help="bare reference system instead of a scenario")
+    target = lya.add_mutually_exclusive_group(required=True)
+    target.add_argument("--scenario", choices=SCENARIO_IDS)
+    target.add_argument("--system", choices=("lorenz",),
+                        help="bare reference system instead of a scenario")
     lya.add_argument("--input", default="sin:1:1")
     lya.add_argument("--x0", default=None)
     lya.add_argument("--K", type=float, default=None)

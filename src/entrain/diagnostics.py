@@ -17,7 +17,8 @@ import numpy as np
 
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
-from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate, pair_system
+from .solver import (IntegrationError, IntegratorConfig, Trajectory, check_initial_state,
+                     integrate, pair_system)
 
 __all__ = [
     "SteadyStateReport",
@@ -194,7 +195,7 @@ def lyapunov_max(
     if not sys.z_indices():
         raise ValueError(f"system {sys.scenario_id!r} has no 'z' block to perturb")
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = check_initial_state(x0, sys.dim)
     n = sys.dim
     z_first = sys.z_indices()[0]
     joint = pair_system(sys)

@@ -124,7 +124,7 @@ def test_structural_property_suite():
     f = lorenz_field()
     c = 0.5
     z0 = np.array([1.0, 1.0, 1.0])
-    scaled = compose_autonomous(VectorField(3, lambda z: c * f.rhs(z)), "scaled")
+    scaled = compose_autonomous(VectorField(3, lambda z: [c * v for v in f.rhs(z)]), "scaled")
     plain = compose_autonomous(f, "plain")
     for T in (2.0, 5.0, 10.0):
         a = integrate(scaled, U_NONE, z0, (0.0, T), cfg,
@@ -135,7 +135,7 @@ def test_structural_property_suite():
         assert np.max(np.abs(a - b) / scale) < 10.0
 
     # fixed-step rk4: halving h shrinks global error ~2^4
-    decay = compose_autonomous(VectorField(1, lambda z: -z), "decay")
+    decay = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
     errs = []
     for h in (0.1, 0.05):
         cfg4 = IntegratorConfig(method="rk4_fixed", h_init=h)

@@ -54,8 +54,8 @@ def test_alpha_rejects_bad_K():
 def test_lorenz_rhs_standard_parameters():
     p = LorenzParams()
     assert (p.s, p.r, p.b) == (10.0, 28.0, 8.0 / 3.0)
-    z = np.array([1.0, 2.0, 3.0])
-    dz = lorenz_rhs(p, z)
+    dz = lorenz_rhs(p, [1.0, 2.0, 3.0])
+    assert type(dz) is list
     np.testing.assert_allclose(dz, [10.0, 28.0 - 2.0 - 3.0, 2.0 - 8.0], atol=1e-15)
 
 
@@ -70,9 +70,9 @@ def test_lorenz_equilibria():
 def test_stable_linear_field_contracts():
     g = stable_linear_field()
     # eigenvalues of [[-10,10,0],[0,-1,0],[0,0,-8/3]] are -10, -1, -8/3
-    z = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(g.rhs(z), [10 * (-2.0 - 1.0), 2.0, -0.5 * 8 / 3],
-                               atol=1e-15)
+    dz = g.rhs([1.0, -2.0, 0.5])
+    assert type(dz) is list
+    np.testing.assert_allclose(dz, [10 * (-2.0 - 1.0), 2.0, -0.5 * 8 / 3], atol=1e-15)
 
 
 def test_example1_rhs_hand_computed():
@@ -112,13 +112,17 @@ def test_example2_origin_is_equilibrium_to_machine_precision():
 
 
 def test_general_matches_example1_pointwise():
+    # bit for bit, signed zeros included: at x = u = 0 both give dx = -0.0
     gen = compose_cascade(filter_one(), Saturation(0.1), lorenz_field())
     e1 = compose_example1()
+    cases = [([0.0, 0.0, 1.0, 0.0, 0.0], 0.0), ([-0.0, 0.0, 0.0, -0.0, 0.0], -0.0)]
     for _ in range(100):
-        state = rng.uniform(-10, 10, size=5)
-        u = rng.uniform(-10, 10)
-        t = rng.uniform(0, 100)
-        np.testing.assert_array_equal(gen.rhs(t, state, u), e1.rhs(t, state, u))
+        cases.append((rng.uniform(-10, 10, size=5).tolist(), float(rng.uniform(-10, 10))))
+    for state, u in cases:
+        t = float(rng.uniform(0, 100))
+        out = gen.rhs(t, state, u)
+        assert type(out) is list
+        assert np.array(out).tobytes() == np.array(e1.rhs(t, state, u)).tobytes()
 
 
 def test_cascade_around_a_two_state_filter():
@@ -187,6 +191,6 @@ def test_interpolated_requires_matching_dims():
 
 def test_autonomous_wrapper_ignores_input():
     sys = compose_autonomous(lorenz_field(), "lorenz")
-    z = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(sys.rhs(0.0, z, 0.0), sys.rhs(5.0, z, 99.0), atol=0)
+    z = [1.0, 2.0, 3.0]
+    assert sys.rhs(0.0, z, 0.0) == sys.rhs(5.0, z, 99.0) == lorenz_rhs(LorenzParams(), z)
     assert sys.layout == {"z": (0, 1, 2)}

@@ -127,9 +127,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                  "--t-end", "20", "--out-dir", out]) == 2
     assert main(["simulate", "--scenario", "example1", "--t-end", "-5",
                  "--out-dir", out]) == 2
-    assert main(["lyapunov", "--input", "const:0", "--out-dir", out]) == 2
+    assert main(["lyapunov", "--scenario", "example1", "--x0", "1,2,3",
+                 "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+    assert "x0 must have shape (5,)" in err
+    # --scenario and --system exclude each other, and one of them is needed
+    for target in ([], ["--scenario", "example1", "--system", "lorenz"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lyapunov", *target, "--input", "const:3", "--out-dir", out])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("arg", ["--input=const:nan", "--input=sin:inf:1",

@@ -20,7 +20,7 @@ from entrain.diagnostics import (
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import IntegratorConfig, Trajectory, integrate
 
-DECAY = compose_autonomous(VectorField(1, lambda z: -z), "decay")
+DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
 U0 = Constant(0.0)
 
 
@@ -155,6 +155,16 @@ def test_lyapunov_needs_a_z_block():
         classify_response(no_z, U0, np.array([1.0]), always_lyapunov=True)
 
 
+def test_lyapunov_checks_x0_against_the_system():
+    # the message names the system's size, not the size of the stacked pair
+    sys = compose_example1()
+    for x0 in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match=r"x0 must have shape \(5,\)"):
+            lyapunov_max(sys, U0, x0)
+    with pytest.raises(ValueError, match="must be finite"):
+        lyapunov_max(sys, U0, [np.nan, 0.0, 1.0, 0.0, 0.0])
+
+
 def test_lyapunov_insufficient_events():
     # horizon admits 100 renormalizations but the transient eats all but 10
     with pytest.raises(ValueError, match="renormalization events"):
@@ -169,7 +179,7 @@ def test_verdict_steady_for_settling_system():
 
 def test_verdict_oscillation_for_harmonic_oscillator():
     # a neutral center: never settles, exponent indistinguishable from 0
-    osc = compose_autonomous(VectorField(2, lambda z: np.array([z[1], -z[0]])),
+    osc = compose_autonomous(VectorField(2, lambda z: [z[1], -z[0]]),
                              "osc")
     rec = classify_response(osc, U0, np.array([1.0, 0.0]))
     assert rec.verdict == "sustained_oscillation"
@@ -180,7 +190,7 @@ def test_verdict_oscillation_for_harmonic_oscillator():
 def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
     # slow decay: still visibly moving at the detection horizon while the
     # exponent reads clearly negative
-    slow = compose_autonomous(VectorField(1, lambda z: -0.2 * z), "slow")
+    slow = compose_autonomous(VectorField(1, lambda z: [-0.2 * v for v in z]), "slow")
     rec = classify_response(slow, U0, np.array([10.0]), ss_horizon=20.0)
     assert not rec.steady.converged
     assert rec.lyapunov.lambda_max < -0.05
@@ -188,7 +198,7 @@ def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
 
 
 def test_verdict_divergence_instead_of_crash():
-    blow = compose_autonomous(VectorField(1, lambda z: z * z), "blowup")
+    blow = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]), "blowup")
     rec = classify_response(blow, U0, np.array([1.0]), ss_horizon=20.0)
     assert rec.verdict == "divergence"
     assert rec.lyapunov is None
@@ -204,7 +214,7 @@ def test_classify_skips_lyapunov_when_converged():
 def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
     # -100 (z - 1) snaps both copies onto z = 1 bitwise, so the separation
     # becomes exactly zero and no exponent can be measured
-    snap = compose_autonomous(VectorField(1, lambda z: -100.0 * (z - 1.0)), "snap")
+    snap = compose_autonomous(VectorField(1, lambda z: [-100.0 * (v - 1.0) for v in z]), "snap")
     with pytest.raises(ValueError, match="collapsed"):
         lyapunov_max(snap, U0, np.array([5.0]))
     rec = classify_response(snap, U0, np.array([5.0]), always_lyapunov=True)
@@ -213,7 +223,7 @@ def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
     assert rec.steady.converged
     # same collapse, but a second component drifts forever: no verdict
     drift = compose_autonomous(
-        VectorField(2, lambda z: np.array([-100.0 * (z[0] - 1.0), 1.0])), "drift")
+        VectorField(2, lambda z: [-100.0 * (z[0] - 1.0), 1.0]), "drift")
     rec = classify_response(drift, U0, np.array([5.0, 0.0]))
     assert rec.verdict == "inconclusive"
     assert rec.lyapunov is None

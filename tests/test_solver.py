@@ -36,13 +36,17 @@ from entrain.solver import (
     pair_system,
 )
 
-LAG = compose_autonomous(VectorField(1, lambda z: -z + 1.0), "lag")
-DECAY = compose_autonomous(VectorField(1, lambda z: -z), "decay")
+LAG = compose_autonomous(VectorField(1, lambda z: [-v + 1.0 for v in z]), "lag")
+DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
 LORENZ = compose_autonomous(
-    VectorField(3, lambda z: np.array([10.0 * (z[1] - z[0]),
-                                       28.0 * z[0] - z[1] - z[0] * z[2],
-                                       z[0] * z[1] - 8.0 / 3.0 * z[2]])),
+    VectorField(3, lambda z: [10.0 * (z[1] - z[0]),
+                              28.0 * z[0] - z[1] - z[0] * z[2],
+                              z[0] * z[1] - 8.0 / 3.0 * z[2]]),
     "lorenz")
+# Python's ** raises OverflowError where numpy's returned inf, so the cube
+# is a product: an overflowing trial step then comes out non-finite
+CUBIC = compose_autonomous(VectorField(1, lambda z: [-(v * v * v) for v in z]), "cubic")
+BLOWUP = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]), "blowup")
 U0 = Constant(0.0)
 
 
@@ -87,7 +91,7 @@ def test_zero_span_returns_single_row():
             assert traj.times.tolist() == [0.0]
             assert traj.states.tolist() == [[2.0]]
     # the adaptive runner evaluates f(t0, x0) on a zero span too
-    bad = compose_autonomous(VectorField(1, lambda z: np.full(1, np.inf)), "bad")
+    bad = compose_autonomous(VectorField(1, lambda z: [math.inf]), "bad")
     with pytest.raises(DivergenceError):
         integrate(bad, U0, np.array([2.0]), (0.0, 0.0))
 
@@ -110,7 +114,7 @@ def test_dense_mode_returns_internal_steps():
 
 
 def test_rhs_of_the_wrong_length_is_rejected():
-    short = compose_autonomous(VectorField(3, lambda z: -z[:1]), "short")
+    short = compose_autonomous(VectorField(3, lambda z: [-z[0]]), "short")
     for method in ("rk45_adaptive", "rk4_fixed"):
         for grid in (None, np.array([0.5, 1.0])):
             with pytest.raises(ValueError, match="length 1 for a state of length 3"):
@@ -213,27 +217,24 @@ def test_tolerance_tightening_shrinks_differences():
 
 
 def test_divergence_error_reports_last_good_time():
-    blow = compose_autonomous(VectorField(1, lambda z: z * z), "blowup")
     with pytest.raises(DivergenceError) as err:
         # solution blows up at t = 1; overflow long before t = 2
-        integrate(blow, U0, np.array([1.0]), (0.0, 2.0),
+        integrate(BLOWUP, U0, np.array([1.0]), (0.0, 2.0),
                   IntegratorConfig(h_min=1e-300))
     assert 0.9 <= err.value.last_good_time <= 1.01
     assert "last good time" in str(err.value)
 
 
 def test_stiffness_error_when_step_underflows():
-    blow = compose_autonomous(VectorField(1, lambda z: z * z), "blowup")
     with pytest.raises(StiffnessError):
         # with the default h_min the step controller underflows first
-        integrate(blow, U0, np.array([1.0]), (0.0, 2.0))
+        integrate(BLOWUP, U0, np.array([1.0]), (0.0, 2.0))
 
 
 def test_nonfinite_trial_step_is_rejected():
     # dz = -z^3 from z0 = 1e3: the first trial steps overflow, yet the exact
     # solution z(t) = 1 / sqrt(2 t + 1e-6) decays smoothly
-    cubic = compose_autonomous(VectorField(1, lambda z: -z ** 3), "cubic")
-    traj = integrate(cubic, U0, np.array([1e3]), (0.0, 10.0),
+    traj = integrate(CUBIC, U0, np.array([1e3]), (0.0, 10.0),
                      output_grid=np.array([10.0]))
     assert traj.final_state[0] == pytest.approx(1.0 / np.sqrt(20.000001), rel=1e-7)
 
@@ -331,10 +332,10 @@ def test_combine_matches_loop_bitwise(dim):
         inputs = []
 
         def field(z):
-            inputs.append(z.copy())
+            inputs.append(np.array(z))
             if len(inputs) == 7:
                 raise _StopStep
-            return K[len(inputs) - 1]
+            return K[len(inputs) - 1].tolist()
 
         fed = compose_autonomous(VectorField(dim, field), "fed")
         with pytest.raises(_StopStep):
@@ -555,6 +556,71 @@ def test_kernel_matches_numpy_reference_bitwise(case, gridded):
     _assert_matches_reference(build(), signal, x0, (0.0, t_end), output_grid=grid)
 
 
+# The list RK4 against the numpy RK4 it replaced: same step, stage inputs
+# y + (h / 2) * k and update y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) on arrays.
+
+def _ref_rk4(f, y0, k0, t0, t_end, cfg, grid):
+    def g(t, y):
+        return np.array(f(t, y.tolist()))
+
+    x0 = np.array(y0)
+    targets = [t_end] if grid is None else list(grid)
+    rows = None if grid is None else np.empty((len(targets), x0.size))
+    dense_t, dense_y = [t0], [x0]
+    t, y = t0, x0
+    k1 = np.array(k0)
+    steps = 0
+    for gi, target in enumerate(targets):
+        span = target - t
+        if span > 0:
+            n_sub = max(1, int(np.ceil(span / cfg.h_init - 1e-9)))
+            h = span / n_sub
+            base = t
+            for i in range(n_sub):
+                if steps >= cfg.max_steps:
+                    raise StepBudgetError(
+                        f"exceeded max_steps={cfg.max_steps}", last_good_time=t)
+                if steps:
+                    k1 = g(t, y)
+                steps += 1
+                k2 = g(t + h / 2, y + (h / 2) * k1)
+                k3 = g(t + h / 2, y + (h / 2) * k2)
+                k4 = g(t + h, y + h * k3)
+                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                t = base + (i + 1) * h
+                if not np.all(np.isfinite(y)):
+                    raise DivergenceError("state became non-finite",
+                                          last_good_time=base + i * h)
+                if grid is None:
+                    dense_t.append(t)
+                    dense_y.append(y)
+            t = target
+        if rows is not None:
+            rows[gi] = y
+    if grid is None:
+        return np.array(dense_t), np.array(dense_y)
+    return grid.copy(), rows
+
+
+@pytest.mark.parametrize("gridded", [False, True], ids=["dense", "grid"])
+@pytest.mark.parametrize("case", ["example1-sin", "two-state-filter", "lorenz",
+                                  "pair-example1"])
+def test_rk4_matches_numpy_reference_bitwise(case, gridded):
+    build, signal, x0, t_end = REFERENCE_CASES[case]
+    sys = build()
+    # h_init does not divide the grid step, so each interval is subdivided
+    cfg = IntegratorConfig(method="rk4_fixed", h_init=0.007)
+    grid = np.arange(0.0, t_end, 0.05) if gridded else None
+
+    def f(t, y):
+        return sys.rhs(t, y, signal(t))
+
+    times, states = _ref_rk4(f, x0, f(0.0, x0), 0.0, t_end, cfg, grid)
+    traj = integrate(sys, signal, np.array(x0), (0.0, t_end), cfg, grid)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+
+
 @pytest.mark.parametrize("dim", [*range(1, 13), 16, 17, 20])
 def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     # a random stable linear system: the error norm's sum runs its short
@@ -562,7 +628,7 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     rng = np.random.default_rng(dim)
     M = rng.standard_normal((dim, dim))
     A = M - M.T - np.diag(rng.uniform(0.5, 3.0, dim))
-    sys = compose_autonomous(VectorField(dim, lambda z: A @ z), "linear")
+    sys = compose_autonomous(VectorField(dim, lambda z: (A @ z).tolist()), "linear")
     x0 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
@@ -580,9 +646,8 @@ def test_kernel_matches_numpy_reference_with_rejected_steps():
 
 
 def test_kernel_matches_numpy_reference_through_nonfinite_trials():
-    cubic = compose_autonomous(VectorField(1, lambda z: -z ** 3), "cubic")
-    _assert_matches_reference(cubic, U0, [1e3], (0.0, 10.0))
-    _assert_matches_reference(cubic, U0, [1e3], (0.0, 10.0),
+    _assert_matches_reference(CUBIC, U0, [1e3], (0.0, 10.0))
+    _assert_matches_reference(CUBIC, U0, [1e3], (0.0, 10.0),
                               output_grid=np.array([10.0]))
 
 
