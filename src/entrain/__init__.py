@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .blocks import (
     ComposedSystem,
-    LorenzParams,
     Saturation,
     VectorField,
     compose_autonomous,
@@ -58,7 +57,7 @@ __all__ = [
     # lti
     "LtiSystem", "transfer_eval", "has_zero_at_origin", "sinusoid_steady_state",
     # blocks
-    "Saturation", "LorenzParams", "VectorField", "ComposedSystem",
+    "Saturation", "VectorField", "ComposedSystem",
     "filter_one", "lorenz_field", "stable_linear_field",
     "compose_example1", "compose_example2", "compose_cascade",
     "compose_autonomous",

@@ -32,7 +32,6 @@ from .lti import LtiSystem, has_zero_at_origin, transfer_eval
 
 __all__ = [
     "Saturation",
-    "LorenzParams",
     "VectorField",
     "ComposedSystem",
     "lorenz_rhs",
@@ -66,15 +65,6 @@ class Saturation:
 
 
 @dataclass(frozen=True)
-class LorenzParams:
-    """Lorenz parameters; defaults are the classic chaotic regime."""
-
-    s: float = 10.0
-    r: float = 28.0
-    b: float = 8.0 / 3.0
-
-
-@dataclass(frozen=True)
 class VectorField:
     """Autonomous vector field z -> f(z) with a declared dimension.
 
@@ -100,39 +90,36 @@ class ComposedSystem:
     the RHS must not change, and the derivative is a new list of the same
     length. ``state_names`` labels each state column, in
     order, for CSV output and diagnostics lookups; ``dim`` is its length.
-    ``layout`` maps block names to state indices (a partition of 0..dim-1).
+    ``z`` lists the indices of the gated field's state, the block
+    ``lyapunov_max`` perturbs; it is empty for a system without one.
     """
 
     rhs: Callable[[float, list[float], float], list[float]]
-    layout: dict[str, tuple[int, ...]]
     state_names: tuple[str, ...]
-    scenario_id: str
+    z: tuple[int, ...] = ()
 
     def __post_init__(self):
-        covered = sorted(i for idx in self.layout.values() for i in idx)
-        if covered != list(range(self.dim)):
-            raise ValueError(f"layout {self.layout} does not partition 0..{self.dim - 1}")
+        if len(set(self.z)) != len(self.z) or not all(0 <= i < self.dim for i in self.z):
+            raise ValueError(f"z {self.z} must be distinct indices in 0..{self.dim - 1}")
 
     @property
     def dim(self) -> int:
         return len(self.state_names)
 
-    def z_indices(self) -> tuple[int, ...]:
-        return self.layout.get("z", ())
 
-
-def lorenz_rhs(params: LorenzParams, z: list[float]) -> list[float]:
-    """Lorenz right-hand side at z = (xi, psi, zeta)."""
+def lorenz_rhs(z: list[float]) -> list[float]:
+    """Lorenz right-hand side at z = (xi, psi, zeta), with the classic
+    chaotic parameters s = 10, r = 28, b = 8/3."""
     xi, psi, zeta = z
     return [
-        params.s * (psi - xi),
-        params.r * xi - psi - xi * zeta,
-        xi * psi - params.b * zeta,
+        10.0 * (psi - xi),
+        28.0 * xi - psi - xi * zeta,
+        xi * psi - (8.0 / 3.0) * zeta,
     ]
 
 
-def lorenz_field(params: LorenzParams = LorenzParams()) -> VectorField:
-    return VectorField(dim=3, rhs=lambda z: lorenz_rhs(params, z))
+def lorenz_field() -> VectorField:
+    return VectorField(dim=3, rhs=lorenz_rhs)
 
 
 def stable_linear_field() -> VectorField:
@@ -150,32 +137,21 @@ def filter_one() -> LtiSystem:
     return LtiSystem(A=[[-1.0]], B=[-1.0], C=[1.0], D=1.0)
 
 
-# column names of the two concrete 5-state examples
+# column names of the two concrete 5-state examples, and where z sits
 EXAMPLE_STATE_NAMES = ("x", "p", "xi", "psi", "zeta")
+_EXAMPLE_Z = (2, 3, 4)
 
 
-def _cascade_layout(n: int, zdim: int) -> tuple[dict, tuple]:
-    layout = {
-        "x": tuple(range(n)),
-        "p": (n,),
-        "z": tuple(range(n + 1, n + 1 + zdim)),
-    }
-    xnames = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
-    znames = tuple(f"z{i}" for i in range(zdim))
-    return layout, xnames + ("p",) + znames
-
-
-def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> ComposedSystem:
+def compose_example1(K: float = 0.1) -> ComposedSystem:
     """First concrete system: Lorenz field multiplied by p.
 
         dx    = -x - u
         dp    = -p + alpha(x + u)
-        dxi   = p s (psi - xi)
-        dpsi  = p (r xi - psi - xi zeta)
-        dzeta = p (xi psi - b zeta)
+        dxi   = p 10 (psi - xi)
+        dpsi  = p (28 xi - psi - xi zeta)
+        dzeta = p (xi psi - (8/3) zeta)
     """
     sat = Saturation(K)
-    s, r, b = params.s, params.r, params.b
 
     def rhs(t: float, state: list[float], u: float) -> list[float]:
         x, p, xi, psi, zeta = state
@@ -183,13 +159,12 @@ def compose_example1(K: float = 0.1, params: LorenzParams = LorenzParams()) -> C
         return [
             -x - u,
             -p + sat(y),
-            p * (s * (psi - xi)),
-            p * (r * xi - psi - xi * zeta),
-            p * (xi * psi - b * zeta),
+            p * (10.0 * (psi - xi)),
+            p * (28.0 * xi - psi - xi * zeta),
+            p * (xi * psi - (8.0 / 3.0) * zeta),
         ]
 
-    return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
-                          state_names=EXAMPLE_STATE_NAMES, scenario_id="example1")
+    return ComposedSystem(rhs, EXAMPLE_STATE_NAMES, _EXAMPLE_Z)
 
 
 def compose_example2(K: float = 1e-4) -> ComposedSystem:
@@ -217,8 +192,7 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
             p * xi * psi - (8.0 / 3.0) * zeta,
         ]
 
-    return ComposedSystem(rhs=rhs, layout=_cascade_layout(1, 3)[0],
-                          state_names=EXAMPLE_STATE_NAMES, scenario_id="example2")
+    return ComposedSystem(rhs, EXAMPLE_STATE_NAMES, _EXAMPLE_Z)
 
 
 def _check_filter(filter1: LtiSystem) -> None:
@@ -265,12 +239,12 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
             dz = [p * v1 + q * v0 for v1, v0 in zip(g1(z), g0(z))]
         return dx + [-p + sat(y)] + dz
 
-    layout, names = _cascade_layout(n, zdim)
-    return ComposedSystem(rhs=rhs, layout=layout, state_names=names,
-                          scenario_id="general" if f0 is None else "interpolated")
+    xnames = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
+    znames = tuple(f"z{i}" for i in range(zdim))
+    return ComposedSystem(rhs, xnames + ("p",) + znames, tuple(range(n + 1, n + 1 + zdim)))
 
 
-def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> ComposedSystem:
+def compose_autonomous(field: VectorField) -> ComposedSystem:
     """Wrap a bare vector field as a ComposedSystem that ignores the input.
 
     Used for reference runs such as the plain Lorenz attractor (p fixed at 1).
@@ -279,9 +253,5 @@ def compose_autonomous(field: VectorField, scenario_id: str = "autonomous") -> C
     def rhs(t: float, state: list[float], u: float) -> list[float]:
         return field.rhs(state)
 
-    return ComposedSystem(
-        rhs=rhs,
-        layout={"z": tuple(range(field.dim))},
-        state_names=tuple(f"z{i}" for i in range(field.dim)),
-        scenario_id=scenario_id,
-    )
+    names = tuple(f"z{i}" for i in range(field.dim))
+    return ComposedSystem(rhs, names, tuple(range(field.dim)))

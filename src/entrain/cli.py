@@ -123,7 +123,7 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
         steady = None
 
     report = {
-        "scenario_id": sys_obj.scenario_id,
+        "scenario_id": params["scenario"],
         "input_spec": signal.spec,
         "x0": list(map(float, x0)),
         "t_span": [t0, t1],
@@ -187,12 +187,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_lyapunov(args) -> int:
     cfg = _config_from(vars(args))
     if args.system is not None:
+        ignored = [flag for flag, value in (("--input", args.input), ("--K", args.K))
+                   if value is not None]
+        if ignored:
+            raise ValueError(f"{' and '.join(ignored)} cannot be used with --system "
+                             f"{args.system}: a reference system has no input")
         sys_obj, x0_default = build_reference_system(args.system)
         signal = parse_input_spec("const:0")
     else:
+        spec = default_spec(args.scenario)
         sys_obj = build_system(args.scenario, K=args.K)
-        x0_default = default_spec(args.scenario).x0
-        signal = parse_input_spec(args.input)
+        x0_default = spec.x0
+        signal = parse_input_spec(spec.input_spec if args.input is None else args.input)
     x0 = np.asarray(x0_default if args.x0 is None else _parse_x0(args.x0), dtype=float)
 
     est = lyapunov_max(sys_obj, signal, x0, cfg)
@@ -270,9 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--scenario", choices=SCENARIO_IDS)
     target.add_argument("--system", choices=("lorenz",),
                         help="bare reference system instead of a scenario")
-    lya.add_argument("--input", default="sin:1:1")
+    lya.add_argument("--input", default=None,
+                     help="input spec (default: the scenario preset); "
+                          "not with --system")
     lya.add_argument("--x0", default=None)
-    lya.add_argument("--K", type=float, default=None)
+    lya.add_argument("--K", type=float, default=None,
+                     help="saturation constant (default: scenario preset); "
+                          "not with --system")
     _add_common_flags(lya)
     lya.set_defaults(func=_cmd_lyapunov)
 

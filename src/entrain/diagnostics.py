@@ -51,6 +51,14 @@ CHAOS_THRESHOLD = 0.05
 
 _MIN_SPAN = 10.0
 _MIN_RENORM_EVENTS = 50
+# The trailing share of a run that the steady-state test and tail_stats see.
+_TAIL_FRACTION = 0.2
+# Output grid step of classify_response's steady-state run.
+_GRID_STEP = 0.05
+# Size of the perturbation lyapunov_max follows, in the first z-component.
+_D0 = 1e-8
+# Monte Carlo draws u0 and every x0 component uniformly from this range.
+_SAMPLE_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ def _tail_mask(times: np.ndarray, fraction: float) -> tuple[np.ndarray, float, f
 
 
 def detect_steady_state(
-    traj: Trajectory, tail_fraction: float = 0.2, eps: float = 1e-5
+    traj: Trajectory, tail_fraction: float = _TAIL_FRACTION, eps: float = 1e-5
 ) -> SteadyStateReport:
     """Decide whether ``traj`` has become asymptotically constant.
 
@@ -134,14 +142,11 @@ def detect_steady_state(
     )
 
 
-def tail_stats(
-    traj: Trajectory, variable: str, window_fraction: float = 0.2
-) -> TailStats:
-    """Mean/min/max of one named variable over the trailing window."""
-    if not 0.0 < window_fraction < 1.0:
-        raise ValueError(f"window_fraction must be in (0, 1), got {window_fraction}")
+def tail_stats(traj: Trajectory, variable: str) -> TailStats:
+    """Mean/min/max of one named variable over the trailing 20 % of the run,
+    the window ``detect_steady_state`` uses by default."""
     col = traj.column(variable)  # KeyError for unknown names
-    mask, t_lo, t_hi = _tail_mask(traj.times, window_fraction)
+    mask, t_lo, t_hi = _tail_mask(traj.times, _TAIL_FRACTION)
     vals = col[mask]
     return TailStats(
         variable=variable,
@@ -164,13 +169,12 @@ def lyapunov_max(
     *,
     transient: float = 100.0,
     horizon: float = 400.0,
-    d0: float = 1e-8,
     renorm_dt: float = 0.5,
 ) -> LyapunovEstimate:
     """Estimate the largest Lyapunov exponent by two-trajectory
     renormalization.
 
-    A copy of the state perturbed by ``d0`` in its first z-component is
+    A copy of the state perturbed by d0 = 1e-8 in its first z-component is
     integrated jointly with the reference. Every ``renorm_dt`` the
     separation d is measured, log(d/d0) is accumulated (only after
     ``transient``), and the perturbed copy is pulled back to distance d0
@@ -181,8 +185,6 @@ def lyapunov_max(
     contracts by construction; perturbing it would only slow convergence of
     the estimate.
     """
-    if d0 <= 0:
-        raise ValueError("d0 must be positive")
     if renorm_dt <= 0:
         raise ValueError("renorm_dt must be positive")
     if horizon < 100 * renorm_dt:
@@ -192,16 +194,15 @@ def lyapunov_max(
         )
     if not 0.0 <= transient < horizon:
         raise ValueError("need 0 <= transient < horizon")
-    if not sys.z_indices():
-        raise ValueError(f"system {sys.scenario_id!r} has no 'z' block to perturb")
+    if not sys.z:
+        raise ValueError("system has no 'z' block to perturb")
 
     x0 = check_initial_state(x0, sys.dim)
     n = sys.dim
-    z_first = sys.z_indices()[0]
     joint = pair_system(sys)
 
     state = np.concatenate([x0, x0])
-    state[n + z_first] += d0
+    state[n + sys.z[0]] += _D0
 
     n_windows = int(math.floor(horizon / renorm_dt + 1e-9))
     log_sum = 0.0
@@ -219,9 +220,9 @@ def lyapunov_max(
                 "perturbation collapsed to exactly zero; cannot renormalize"
             )
         if t_next > transient + 1e-12:
-            log_sum += math.log(d / d0)
+            log_sum += math.log(d / _D0)
             count += 1
-        state[n:] = state[:n] + delta * (d0 / d)
+        state[n:] = state[:n] + delta * (_D0 / d)
         t = t_next
 
     if count < _MIN_RENORM_EVENTS:
@@ -234,7 +235,7 @@ def lyapunov_max(
         renorm_interval=renorm_dt,
         renorm_count=count,
         transient_discarded=transient,
-        perturbation_size=d0,
+        perturbation_size=_D0,
     )
 
 
@@ -262,7 +263,6 @@ def classify_response(
     cfg: IntegratorConfig = IntegratorConfig(),
     *,
     ss_horizon: float = 200.0,
-    grid_step: float = 0.05,
     always_lyapunov: bool = False,
     lyapunov_opts: dict | None = None,
 ) -> VerdictRecord:
@@ -274,9 +274,9 @@ def classify_response(
     yet the exponent reads clearly negative (diagnostics disagree) or the
     exponent could not be measured because the perturbation collapsed.
     A diverging run yields the "divergence" verdict rather than an
-    exception.
+    exception. The steady-state test sees the run on a 0.05 grid.
     """
-    grid = np.arange(0.0, ss_horizon + grid_step / 2, grid_step)
+    grid = np.arange(0.0, ss_horizon + _GRID_STEP / 2, _GRID_STEP)
     try:
         traj = integrate(sys, input_signal, x0, (0.0, ss_horizon), cfg,
                          output_grid=grid)
@@ -380,7 +380,6 @@ def monte_carlo(
     scenario: str,
     n_samples: int,
     seed: int = 0,
-    sample_range: tuple[float, float] = (-10.0, 10.0),
     *,
     cfg: IntegratorConfig = IntegratorConfig(),
     jobs: int = 1,
@@ -388,16 +387,14 @@ def monte_carlo(
     """Sweep ``n_samples`` random (constant-input, initial-condition) draws.
 
     Each sample draws a constant-input magnitude u0 and a full initial
-    state uniformly from ``sample_range``, then classifies the response to
+    state uniformly from [-10, 10], then classifies the response to
     u = u0 and to u = sin t. Draws come from per-sample generators split
     off one seed, so results are reproducible and independent of ``jobs``;
     sample i's draw does not change when n_samples grows.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    lo, hi = sample_range
-    if not hi > lo:
-        raise ValueError(f"sample range must increase, got {sample_range}")
+    lo, hi = _SAMPLE_RANGE
 
     from .scenarios import build_system
 

@@ -3,10 +3,8 @@
 Each preset bundles everything a demo run needs — how to build the
 composed system, its saturation constant, the reference initial state, a
 default input and horizon — in one table row, so the standard experiments
-are one command. ``example2`` additionally records the two constant input
-magnitudes (5.13 and 1.89) that appear among its randomly-drawn reference
-values; 5.13 is the one the demo panels use. Every bundled scenario puts
-the same front end, ``filter_one()``, before the saturation.
+are one command. Every bundled scenario puts the same front end,
+``filter_one()``, before the saturation.
 """
 
 from __future__ import annotations
@@ -50,13 +48,12 @@ class ScenarioSpec:
     compose: Callable[[float], ComposedSystem]
     input_spec: str = "sin:1:1"
     t_span: tuple[float, float] = (0.0, 200.0)
-    reference_inputs: tuple[str, ...] = ()
 
 
 def _interp_lorenz(K: float) -> ComposedSystem:
     sys = compose_cascade(filter_one(), Saturation(K), lorenz_field(),
                           stable_linear_field())
-    return replace(sys, state_names=EXAMPLE_STATE_NAMES, scenario_id="interp-lorenz")
+    return replace(sys, state_names=EXAMPLE_STATE_NAMES)
 
 
 def _general(K: float) -> ComposedSystem:
@@ -70,8 +67,7 @@ _X0_EXAMPLE2 = (2.95, -0.98, 0.94, -4.07, 4.89)
 
 _SCENARIOS = {spec.scenario_id: spec for spec in (
     ScenarioSpec("example1", 0.1, _X0_EXAMPLE1, compose_example1),
-    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2, compose_example2,
-                 reference_inputs=("sin:1:1", "const:5.13", "const:1.89")),
+    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2, compose_example2),
     ScenarioSpec("interp-lorenz", 1e-4, _X0_EXAMPLE2, _interp_lorenz),
     ScenarioSpec("general", 0.1, _X0_EXAMPLE1, _general),
 )}
@@ -101,5 +97,5 @@ def build_system(name: str, K: float | None = None) -> ComposedSystem:
 def build_reference_system(name: str) -> tuple[ComposedSystem, tuple[float, ...]]:
     """Bare reference systems (no input cascade) and their standard starts."""
     if name == "lorenz":
-        return compose_autonomous(lorenz_field(), scenario_id="lorenz"), (1.0, 1.0, 1.0)
+        return compose_autonomous(lorenz_field()), (1.0, 1.0, 1.0)
     raise KeyError(f"unknown reference system {name!r}; available: lorenz")

@@ -61,8 +61,9 @@ class StiffnessError(IntegrationError):
 
 
 class DivergenceError(IntegrationError):
-    """The initial derivative was non-finite, or trial steps stayed non-finite
-    until the step size fell below h_min (RK4: a state became non-finite)."""
+    """The initial derivative was non-finite or raised ``ArithmeticError``,
+    or trial steps stayed non-finite (or raised) until the step size fell
+    below h_min (RK4: a state became non-finite, or a stage raised)."""
 
 
 class StepBudgetError(IntegrationError):
@@ -231,7 +232,11 @@ def integrate(
     # element-wise warnings (say, from a rejected trial step) are only noise.
     with np.errstate(all="ignore"):
         y0 = x0.tolist()
-        k0 = f(t0, y0)
+        try:
+            k0 = f(t0, y0)
+        except ArithmeticError as exc:
+            raise DivergenceError(f"derivative at initial state raised {exc!r}",
+                                  last_good_time=t0) from exc
         if len(k0) != len(y0):  # zip would drop, numpy would broadcast
             raise ValueError(f"the right-hand side returned a vector of length "
                              f"{len(k0)} for a state of length {len(y0)}")
@@ -267,12 +272,16 @@ def _run_rk4(f, y0, k0, t0, t_end, cfg, grid):
                 if steps >= cfg.max_steps:
                     raise StepBudgetError(
                         f"exceeded max_steps={cfg.max_steps}", last_good_time=t)
-                if steps:
-                    k1 = f(t, y)
+                try:
+                    if steps:
+                        k1 = f(t, y)
+                    k2 = f(t + h2, [y_ + h2 * a for y_, a in zip(y, k1)])
+                    k3 = f(t + h2, [y_ + h2 * b for y_, b in zip(y, k2)])
+                    k4 = f(t + h, [y_ + h * c for y_, c in zip(y, k3)])
+                except ArithmeticError as exc:
+                    raise DivergenceError(f"a stage raised {exc!r}",
+                                          last_good_time=t) from exc
                 steps += 1
-                k2 = f(t + h2, [y_ + h2 * a for y_, a in zip(y, k1)])
-                k3 = f(t + h2, [y_ + h2 * b for y_, b in zip(y, k2)])
-                k4 = f(t + h, [y_ + h * c for y_, c in zip(y, k3)])
                 y = [y_ + h6 * (a + 2 * b + 2 * c + d)
                      for y_, a, b, c, d in zip(y, k1, k2, k3, k4)]
                 t = base + (i + 1) * h
@@ -293,9 +302,11 @@ def _run_rk4(f, y0, k0, t0, t_end, cfg, grid):
 def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
     """Dormand-Prince 4(5) with step control on the RMS of the scaled error.
 
-    A trial step with a non-finite stage or result is rejected like one with
-    an infinite error, so ``h`` shrinks by ``_MIN_FACTOR``; only when that
-    drives ``h`` below ``h_min`` is it a ``DivergenceError``.
+    A trial step with a non-finite stage or result, or whose right-hand side
+    raised ``ArithmeticError`` (Python's ``**`` raises ``OverflowError``
+    where numpy returned inf), is rejected like one with an infinite error,
+    so ``h`` shrinks by ``_MIN_FACTOR``; only when that drives ``h`` below
+    ``h_min`` is it a ``DivergenceError``.
 
     The state, the stages and the error are lists of Python floats: on
     vectors this short, one list comprehension per stage costs less than
@@ -344,26 +355,29 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
                 last_good_time=t)
         h_step = min(h, t_end - t)
 
-        k1 = f(t + c1 * h_step,
-               [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])
-        k2 = f(t + c2 * h_step,
-               [y_ + h_step * (a20 * p0 + a21 * p1)
-                for y_, p0, p1 in zip(y, k0, k1)])
-        k3 = f(t + c3 * h_step,
-               [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
-                for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
-        k4 = f(t + c4 * h_step,
-               [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-                for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
-        k5 = f(t + c5 * h_step,
-               [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
-        # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight on
-        # the 7th stage, so the 7th stage runs at the new state.
-        y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
-                 for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-        k6 = f(t + c6 * h_step, y_new)
-        finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
+        try:
+            k1 = f(t + c1 * h_step,
+                   [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])
+            k2 = f(t + c2 * h_step,
+                   [y_ + h_step * (a20 * p0 + a21 * p1)
+                    for y_, p0, p1 in zip(y, k0, k1)])
+            k3 = f(t + c3 * h_step,
+                   [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
+                    for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
+            k4 = f(t + c4 * h_step,
+                   [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+                    for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
+            k5 = f(t + c5 * h_step,
+                   [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+                    for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
+            # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight
+            # on the 7th stage, so the 7th stage runs at the new state.
+            y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+                     for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
+            k6 = f(t + c6 * h_step, y_new)
+            finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
+        except ArithmeticError:
+            finite = False
         if finite:
             abs_y_new = list(map(abs, y_new))
             err = math.sqrt(_sumsq([
@@ -416,8 +430,4 @@ def pair_system(sys: ComposedSystem) -> ComposedSystem:
         return sys.rhs(t, state[:n], u) + sys.rhs(t, state[n:], u)
 
     return ComposedSystem(
-        rhs=rhs,
-        layout={"z": tuple(range(2 * n))},
-        state_names=tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)),
-        scenario_id=sys.scenario_id,
-    )
+        rhs, tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)))

@@ -58,7 +58,7 @@ def test_dichotomy_example1_constant_vs_periodic():
 def test_dichotomy_example2_constant_vs_periodic():
     sys2 = build_system("example2")  # K = 1e-4
     x0 = np.array([2.95, -0.98, 0.94, -4.07, 4.89])
-    zi = list(sys2.z_indices())
+    zi = list(sys2.z)
 
     rec_const = classify_response(sys2, Constant(5.13), x0)
     assert rec_const.steady.converged
@@ -76,7 +76,7 @@ def test_monte_carlo_sweep_verdict_distribution():
     elapsed = time.perf_counter() - t0
 
     assert len(rows) == 20
-    zi = list(build_system("example2").z_indices())
+    zi = list(build_system("example2").z)
     assert all(r.verdict_const == "steady_state" for r in rows)
     assert all(np.linalg.norm(r.final_state_const[zi]) < 1e-3 for r in rows)
     assert sum(r.verdict_sin != "steady_state" for r in rows) >= 18
@@ -124,8 +124,8 @@ def test_structural_property_suite():
     f = lorenz_field()
     c = 0.5
     z0 = np.array([1.0, 1.0, 1.0])
-    scaled = compose_autonomous(VectorField(3, lambda z: [c * v for v in f.rhs(z)]), "scaled")
-    plain = compose_autonomous(f, "plain")
+    scaled = compose_autonomous(VectorField(3, lambda z: [c * v for v in f.rhs(z)]))
+    plain = compose_autonomous(f)
     for T in (2.0, 5.0, 10.0):
         a = integrate(scaled, U_NONE, z0, (0.0, T), cfg,
                       output_grid=np.array([T])).final_state
@@ -135,7 +135,7 @@ def test_structural_property_suite():
         assert np.max(np.abs(a - b) / scale) < 10.0
 
     # fixed-step rk4: halving h shrinks global error ~2^4
-    decay = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
+    decay = compose_autonomous(VectorField(1, lambda z: [-v for v in z]))
     errs = []
     for h in (0.1, 0.05):
         cfg4 = IntegratorConfig(method="rk4_fixed", h_init=h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entrain.blocks import (
-    LorenzParams,
+    ComposedSystem,
     Saturation,
     VectorField,
     compose_autonomous,
@@ -52,19 +52,18 @@ def test_alpha_rejects_bad_K():
 
 
 def test_lorenz_rhs_standard_parameters():
-    p = LorenzParams()
-    assert (p.s, p.r, p.b) == (10.0, 28.0, 8.0 / 3.0)
-    dz = lorenz_rhs(p, [1.0, 2.0, 3.0])
+    # s = 10, r = 28, b = 8/3
+    dz = lorenz_rhs([1.0, 2.0, 3.0])
     assert type(dz) is list
     np.testing.assert_allclose(dz, [10.0, 28.0 - 2.0 - 3.0, 2.0 - 8.0], atol=1e-15)
+    assert lorenz_field().rhs([1.0, 2.0, 3.0]) == dz
 
 
 def test_lorenz_equilibria():
-    p = LorenzParams()
-    np.testing.assert_allclose(lorenz_rhs(p, np.zeros(3)), 0.0, atol=0)
-    c = np.sqrt(p.b * (p.r - 1.0))
-    np.testing.assert_allclose(lorenz_rhs(p, np.array([c, c, p.r - 1.0])), 0.0,
-                               atol=1e-13)
+    b, r = 8.0 / 3.0, 28.0
+    np.testing.assert_allclose(lorenz_rhs(np.zeros(3)), 0.0, atol=0)
+    c = np.sqrt(b * (r - 1.0))
+    np.testing.assert_allclose(lorenz_rhs(np.array([c, c, r - 1.0])), 0.0, atol=1e-13)
 
 
 def test_stable_linear_field_contracts():
@@ -131,7 +130,7 @@ def test_cascade_around_a_two_state_filter():
     sys = compose_cascade(filt, Saturation(0.1), lorenz_field())
     assert sys.state_names == ("x0", "x1", "p", "z0", "z1", "z2")
     assert sys.dim == 6
-    assert sys.layout == {"x": (0, 1), "p": (2,), "z": (3, 4, 5)}
+    assert sys.z == (3, 4, 5)
 
     x0, x1, p, xi, psi, zeta = state = np.array([0.5, -1.0, 0.25, 1.0, 2.0, 3.0])
     u = 2.0
@@ -164,8 +163,7 @@ def test_layout_and_names():
     sys = compose_example1()
     assert sys.dim == 5
     assert sys.state_names == ("x", "p", "xi", "psi", "zeta")
-    assert sys.layout == {"x": (0,), "p": (1,), "z": (2, 3, 4)}
-    assert sys.z_indices() == (2, 3, 4)
+    assert sys.z == (2, 3, 4) == compose_example2().z
     x0 = np.arange(5.0)
     traj = integrate(sys, Constant(0.0), x0, (0.0, 0.0))
     assert traj.state_names == sys.state_names
@@ -190,7 +188,20 @@ def test_interpolated_requires_matching_dims():
 
 
 def test_autonomous_wrapper_ignores_input():
-    sys = compose_autonomous(lorenz_field(), "lorenz")
+    sys = compose_autonomous(lorenz_field())
     z = [1.0, 2.0, 3.0]
-    assert sys.rhs(0.0, z, 0.0) == sys.rhs(5.0, z, 99.0) == lorenz_rhs(LorenzParams(), z)
-    assert sys.layout == {"z": (0, 1, 2)}
+    assert sys.rhs(0.0, z, 0.0) == sys.rhs(5.0, z, 99.0) == lorenz_rhs(z)
+    assert sys.z == (0, 1, 2)
+    assert sys.state_names == ("z0", "z1", "z2")
+
+
+def test_z_block_must_be_distinct_indices_of_the_state():
+    def rhs(t, state, u):
+        return state
+
+    names = ("a", "b", "c")
+    assert ComposedSystem(rhs, names).z == ()
+    assert ComposedSystem(rhs, names, (2, 0)).z == (2, 0)
+    for bad in ((0, 0), (3,), (-1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="distinct indices in 0..2"):
+            ComposedSystem(rhs, names, bad)

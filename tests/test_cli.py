@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import entrain
-from entrain import run_from_manifest
+from entrain import cli, run_from_manifest
 from entrain.cli import _write_csv, main
+from entrain.diagnostics import LyapunovEstimate
+from entrain.scenarios import SCENARIO_IDS, default_spec
+from entrain.signals import parse_input_spec
 from entrain.solver import Trajectory
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -47,6 +50,14 @@ def test_simulate_writes_csv_report_manifest(tmp_path, capsys):
     for key in ("scenario", "K", "input", "x0", "t_start", "t_end",
                 "grid_step", "rel_tol", "abs_tol", "method", "version"):
         assert key in manifest
+
+
+@pytest.mark.parametrize("name", SCENARIO_IDS)
+def test_report_names_the_scenario_run(name, tmp_path):
+    assert main(["simulate", "--scenario", name, "--t-end", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["scenario_id"] == name
 
 
 def test_repeat_runs_and_manifest_replay_are_byte_identical(tmp_path):
@@ -181,6 +192,35 @@ def test_lyapunov_scenario_under_constant_input(capsys):
     assert est["lambda_max"] < 0.05
     assert est["renorm_count"] >= 50
     assert est["renorm_interval"] == 0.5
+
+
+def _record_lyapunov_calls(monkeypatch):
+    calls = []
+
+    def fake(sys, input_signal, x0, cfg):
+        calls.append(input_signal.spec)
+        return LyapunovEstimate(0.0, 0.5, 600, 100.0, 1e-8)
+
+    monkeypatch.setattr(cli, "lyapunov_max", fake)
+    return calls
+
+
+@pytest.mark.parametrize("name", SCENARIO_IDS)
+def test_lyapunov_input_defaults_to_the_scenario_preset(name, monkeypatch):
+    calls = _record_lyapunov_calls(monkeypatch)
+    assert main(["lyapunov", "--scenario", name]) == 0
+    assert main(["lyapunov", "--scenario", name, "--input", "const:3"]) == 0
+    assert calls == [parse_input_spec(default_spec(name).input_spec).spec, "const:3"]
+
+
+@pytest.mark.parametrize("flags", [["--input", "const:3"], ["--K", "5"]])
+def test_lyapunov_system_rejects_scenario_flags(flags, monkeypatch, capsys):
+    calls = _record_lyapunov_calls(monkeypatch)
+    assert main(["lyapunov", "--system", "lorenz", *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert calls == []  # rejected before integrating
+    assert main(["lyapunov", "--system", "lorenz", "--x0", "1,2,3"]) == 0
+    assert calls == ["const:0"]
 
 
 def test_montecarlo_writes_jsonl(tmp_path, capsys):

@@ -11,6 +11,11 @@ from entrain.blocks import (
     compose_example2,
 )
 from entrain.diagnostics import (
+    VERDICT_CHAOTIC,
+    VERDICT_DIVERGENCE,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_OSCILLATION,
+    VERDICT_STEADY_STATE,
     classify_response,
     detect_steady_state,
     lyapunov_max,
@@ -20,8 +25,10 @@ from entrain.diagnostics import (
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import IntegratorConfig, Trajectory, integrate
 
-DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
+DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]))
 U0 = Constant(0.0)
+VERDICTS = {VERDICT_STEADY_STATE, VERDICT_OSCILLATION, VERDICT_CHAOTIC,
+            VERDICT_INCONCLUSIVE, VERDICT_DIVERGENCE}
 
 
 def make_traj(times, states, names=("a", "b")):
@@ -105,8 +112,6 @@ def test_tail_stats_unknown_variable():
     traj = make_traj(times, np.zeros((100, 1)), ("a",))
     with pytest.raises(KeyError):
         tail_stats(traj, "q")
-    with pytest.raises(ValueError):
-        tail_stats(traj, "a", window_fraction=0.0)
 
 
 def test_constant_input_drives_p_to_zero():
@@ -133,8 +138,6 @@ def test_lyapunov_preconditions():
     with pytest.raises(ValueError):
         lyapunov_max(DECAY, U0, np.array([1.0]), horizon=30.0)  # < 100 intervals
     with pytest.raises(ValueError):
-        lyapunov_max(DECAY, U0, np.array([1.0]), d0=0.0)
-    with pytest.raises(ValueError):
         lyapunov_max(DECAY, U0, np.array([1.0]), renorm_dt=-0.5)
     with pytest.raises(ValueError):
         lyapunov_max(DECAY, U0, np.array([1.0]), transient=500.0)
@@ -147,7 +150,7 @@ def test_lyapunov_needs_a_z_block():
         calls.append(t)
         return [-v for v in state]
 
-    no_z = ComposedSystem(rhs, {"x": (0,)}, ("x",), "no-z")
+    no_z = ComposedSystem(rhs, ("x",))
     with pytest.raises(ValueError, match="no 'z' block"):
         lyapunov_max(no_z, U0, np.array([1.0]))
     assert calls == []  # rejected before integrating
@@ -179,8 +182,7 @@ def test_verdict_steady_for_settling_system():
 
 def test_verdict_oscillation_for_harmonic_oscillator():
     # a neutral center: never settles, exponent indistinguishable from 0
-    osc = compose_autonomous(VectorField(2, lambda z: [z[1], -z[0]]),
-                             "osc")
+    osc = compose_autonomous(VectorField(2, lambda z: [z[1], -z[0]]))
     rec = classify_response(osc, U0, np.array([1.0, 0.0]))
     assert rec.verdict == "sustained_oscillation"
     assert abs(rec.lyapunov.lambda_max) <= 0.05
@@ -190,7 +192,7 @@ def test_verdict_oscillation_for_harmonic_oscillator():
 def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
     # slow decay: still visibly moving at the detection horizon while the
     # exponent reads clearly negative
-    slow = compose_autonomous(VectorField(1, lambda z: [-0.2 * v for v in z]), "slow")
+    slow = compose_autonomous(VectorField(1, lambda z: [-0.2 * v for v in z]))
     rec = classify_response(slow, U0, np.array([10.0]), ss_horizon=20.0)
     assert not rec.steady.converged
     assert rec.lyapunov.lambda_max < -0.05
@@ -198,7 +200,7 @@ def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
 
 
 def test_verdict_divergence_instead_of_crash():
-    blow = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]), "blowup")
+    blow = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]))
     rec = classify_response(blow, U0, np.array([1.0]), ss_horizon=20.0)
     assert rec.verdict == "divergence"
     assert rec.lyapunov is None
@@ -214,7 +216,7 @@ def test_classify_skips_lyapunov_when_converged():
 def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
     # -100 (z - 1) snaps both copies onto z = 1 bitwise, so the separation
     # becomes exactly zero and no exponent can be measured
-    snap = compose_autonomous(VectorField(1, lambda z: [-100.0 * (v - 1.0) for v in z]), "snap")
+    snap = compose_autonomous(VectorField(1, lambda z: [-100.0 * (v - 1.0) for v in z]))
     with pytest.raises(ValueError, match="collapsed"):
         lyapunov_max(snap, U0, np.array([5.0]))
     rec = classify_response(snap, U0, np.array([5.0]), always_lyapunov=True)
@@ -223,15 +225,24 @@ def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
     assert rec.steady.converged
     # same collapse, but a second component drifts forever: no verdict
     drift = compose_autonomous(
-        VectorField(2, lambda z: [-100.0 * (z[0] - 1.0), 1.0]), "drift")
+        VectorField(2, lambda z: [-100.0 * (z[0] - 1.0), 1.0]))
     rec = classify_response(drift, U0, np.array([5.0, 0.0]))
     assert rec.verdict == "inconclusive"
     assert rec.lyapunov is None
     assert not rec.steady.converged
     # argument errors are still the caller's to see
-    with pytest.raises(ValueError, match="d0"):
+    with pytest.raises(ValueError, match="renorm_dt"):
         classify_response(snap, U0, np.array([5.0]), always_lyapunov=True,
-                          lyapunov_opts={"d0": -1})
+                          lyapunov_opts={"renorm_dt": -1.0})
+
+
+def test_field_that_raises_on_a_trial_step_gets_a_verdict():
+    # -v ** 3 from 1e3 raises OverflowError on its first trial steps, which
+    # the integrator rejects; the run itself decays smoothly
+    cube = compose_autonomous(VectorField(1, lambda z: [-v ** 3 for v in z]))
+    rec = classify_response(cube, U0, np.array([1e3]))
+    assert rec.verdict in VERDICTS
+    assert rec.verdict != "divergence"
 
 
 # ----------------------------------------------------------------- monte carlo
@@ -239,8 +250,6 @@ def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
 def test_monte_carlo_rejects_empty_sweep():
     with pytest.raises(ValueError):
         monte_carlo("example2", 0)
-    with pytest.raises(ValueError):
-        monte_carlo("example2", 2, sample_range=(3.0, 3.0))
     with pytest.raises(KeyError):
         monte_carlo("no-such-scenario", 1)
 

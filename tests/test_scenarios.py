@@ -63,17 +63,11 @@ def test_default_spec_is_runnable():
     for name in SCENARIO_IDS:
         spec = default_spec(name)
         sys = build_system(name)
-        assert spec.scenario_id == sys.scenario_id == name
+        assert spec.scenario_id == name
         assert sys.dim == len(spec.x0)
+        assert sys.z == (2, 3, 4)
         assert spec.t_span == (0.0, 200.0)
         assert spec.input_spec == "sin:1:1"
-
-
-def test_example2_records_reference_inputs():
-    spec = default_spec("example2")
-    assert "const:5.13" in spec.reference_inputs
-    assert "const:1.89" in spec.reference_inputs
-    assert default_spec("example1").reference_inputs == ()
 
 
 def test_reference_lorenz_system():

@@ -7,7 +7,6 @@ import pytest
 
 from entrain.blocks import (
     ComposedSystem,
-    LorenzParams,
     Saturation,
     VectorField,
     compose_autonomous,
@@ -36,17 +35,17 @@ from entrain.solver import (
     pair_system,
 )
 
-LAG = compose_autonomous(VectorField(1, lambda z: [-v + 1.0 for v in z]), "lag")
-DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]), "decay")
+LAG = compose_autonomous(VectorField(1, lambda z: [-v + 1.0 for v in z]))
+DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]))
 LORENZ = compose_autonomous(
     VectorField(3, lambda z: [10.0 * (z[1] - z[0]),
                               28.0 * z[0] - z[1] - z[0] * z[2],
-                              z[0] * z[1] - 8.0 / 3.0 * z[2]]),
-    "lorenz")
-# Python's ** raises OverflowError where numpy's returned inf, so the cube
-# is a product: an overflowing trial step then comes out non-finite
-CUBIC = compose_autonomous(VectorField(1, lambda z: [-(v * v * v) for v in z]), "cubic")
-BLOWUP = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]), "blowup")
+                              z[0] * z[1] - 8.0 / 3.0 * z[2]]))
+# The cube as a product: an overflowing trial step comes out inf, as it does
+# in the numpy reference kernel below (Python's ** would raise OverflowError,
+# which test_trial_step_that_raises_is_rejected covers)
+CUBIC = compose_autonomous(VectorField(1, lambda z: [-(v * v * v) for v in z]))
+BLOWUP = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]))
 U0 = Constant(0.0)
 
 
@@ -91,7 +90,7 @@ def test_zero_span_returns_single_row():
             assert traj.times.tolist() == [0.0]
             assert traj.states.tolist() == [[2.0]]
     # the adaptive runner evaluates f(t0, x0) on a zero span too
-    bad = compose_autonomous(VectorField(1, lambda z: [math.inf]), "bad")
+    bad = compose_autonomous(VectorField(1, lambda z: [math.inf]))
     with pytest.raises(DivergenceError):
         integrate(bad, U0, np.array([2.0]), (0.0, 0.0))
 
@@ -114,7 +113,7 @@ def test_dense_mode_returns_internal_steps():
 
 
 def test_rhs_of_the_wrong_length_is_rejected():
-    short = compose_autonomous(VectorField(3, lambda z: [-z[0]]), "short")
+    short = compose_autonomous(VectorField(3, lambda z: [-z[0]]))
     for method in ("rk45_adaptive", "rk4_fixed"):
         for grid in (None, np.array([0.5, 1.0])):
             with pytest.raises(ValueError, match="length 1 for a state of length 3"):
@@ -130,7 +129,7 @@ def test_integrate_hands_the_rhs_lists_of_floats(method):
         states.append(state)
         return [-v for v in state]
 
-    sys = ComposedSystem(rhs, {"z": (0, 1)}, ("a", "b"), "lists")
+    sys = ComposedSystem(rhs, ("a", "b"))
     for grid in (None, np.array([0.5, 1.0])):
         integrate(sys, U0, np.array([1.0, 2.0]), (0.0, 1.0),
                   IntegratorConfig(method=method), grid)
@@ -239,6 +238,33 @@ def test_nonfinite_trial_step_is_rejected():
     assert traj.final_state[0] == pytest.approx(1.0 / np.sqrt(20.000001), rel=1e-7)
 
 
+def test_trial_step_that_raises_is_rejected():
+    # Python's ** raises OverflowError on the trial steps where the product
+    # form above comes out inf; either way the step is rejected and h shrinks
+    cube = compose_autonomous(VectorField(1, lambda z: [-v ** 3 for v in z]))
+    traj = integrate(cube, U0, np.array([1e3]), (0.0, 10.0),
+                     output_grid=np.array([10.0]))
+    assert traj.final_state[0] == pytest.approx(1.0 / np.sqrt(20.000001), rel=1e-6)
+
+
+def test_rk4_stage_that_raises_is_a_divergence():
+    # the first step lands near 1e112, whose cube overflows in the next k1
+    cube = compose_autonomous(VectorField(1, lambda z: [-v ** 3 for v in z]))
+    with pytest.raises(DivergenceError, match="OverflowError") as err:
+        integrate(cube, U0, np.array([1e3]), (0.0, 10.0),
+                  IntegratorConfig(method="rk4_fixed"))
+    assert err.value.last_good_time == pytest.approx(1e-3)
+
+
+def test_initial_derivative_that_raises_is_a_divergence():
+    recip = compose_autonomous(VectorField(1, lambda z: [1.0 / v for v in z]))
+    for method in ("rk45_adaptive", "rk4_fixed"):
+        with pytest.raises(DivergenceError, match="ZeroDivisionError") as err:
+            integrate(recip, U0, np.array([0.0]), (0.0, 1.0),
+                      IntegratorConfig(method=method))
+        assert err.value.last_good_time == 0.0
+
+
 def test_step_budget_error():
     with pytest.raises(StepBudgetError):
         integrate(DECAY, U0, np.array([1.0]), (0.0, 10.0),
@@ -337,7 +363,7 @@ def test_combine_matches_loop_bitwise(dim):
                 raise _StopStep
             return K[len(inputs) - 1].tolist()
 
-        fed = compose_autonomous(VectorField(dim, field), "fed")
+        fed = compose_autonomous(VectorField(dim, field))
         with pytest.raises(_StopStep):
             integrate(fed, U0, x0, (0.0, 1.0), IntegratorConfig(h_init=h))
         assert inputs[0].tobytes() == x0.tobytes()
@@ -373,7 +399,7 @@ def _example_reference(which, K, state, u):
     x, p, xi, psi, zeta = state
     y = x + u
     if which == 1:
-        s, r, b = LorenzParams().s, LorenzParams().r, LorenzParams().b
+        s, r, b = 10.0, 28.0, 8.0 / 3.0
         z_dot = [p * (s * (psi - xi)), p * (r * xi - psi - xi * zeta),
                  p * (xi * psi - b * zeta)]
     else:
@@ -628,7 +654,7 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     rng = np.random.default_rng(dim)
     M = rng.standard_normal((dim, dim))
     A = M - M.T - np.diag(rng.uniform(0.5, 3.0, dim))
-    sys = compose_autonomous(VectorField(dim, lambda z: (A @ z).tolist()), "linear")
+    sys = compose_autonomous(VectorField(dim, lambda z: (A @ z).tolist()))
     x0 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
