@@ -40,7 +40,7 @@ from .lti import has_zero_at_origin, sinusoid_steady_state, transfer_eval
 from .scenarios import SCENARIO_IDS, build_reference_system, build_system, default_spec
 from .signals import parse_input_spec
 from .solver import (RK4_FIXED, RK45_ADAPTIVE, IntegrationError, IntegratorConfig,
-                     Trajectory, integrate)
+                     Trajectory, integrate, uniform_grid)
 
 __all__ = ["main", "run_from_manifest", "RunArtifacts"]
 
@@ -95,28 +95,14 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
     """Shared core of ``simulate`` and manifest replay: identical inputs
     produce identical bytes."""
     sys_obj = build_system(params["scenario"], K=params["K"])
-    x0 = np.asarray(params["x0"], dtype=float)
-    if x0.shape != (sys_obj.dim,):
-        raise ValueError(
-            f"scenario {params['scenario']!r} needs {sys_obj.dim} initial values, "
-            f"got {x0.size}"
-        )
+    x0 = list(map(float, params["x0"]))
     signal = parse_input_spec(params["input"])
     t0, t1 = params["t_start"], params["t_end"]
-    if not t1 > t0:
-        raise ValueError(f"--t-end must exceed --t-start, got {t0} .. {t1}")
-    step = params["grid_step"]
-    if step <= 0:
-        raise ValueError(f"--grid-step must be positive, got {step}")
-    # arange's last point lies within half a step of t_end, on either side;
-    # t_end takes its place, so the rows end where the report's t_span does
-    grid = np.arange(t0, t1 + step / 2, step)
-    if grid.size == 1:  # t_end within half a step of t_start
-        grid = np.append(grid, t1)
-    grid[-1] = t1
-    cfg = _config_from(params)
+    # the rows end at t_end, where the report's t_span does
+    grid = uniform_grid(t0, t1, params["grid_step"])
 
-    traj = integrate(sys_obj, signal, x0, (t0, t1), cfg, output_grid=grid)
+    traj = integrate(sys_obj, signal, x0, (t0, t1), _config_from(params),
+                     output_grid=grid)
     try:
         steady = detect_steady_state(traj)
     except ValueError:  # the grid is too short or too coarse for a verdict
@@ -125,7 +111,7 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
     report = {
         "scenario_id": params["scenario"],
         "input_spec": signal.spec,
-        "x0": list(map(float, x0)),
+        "x0": x0,
         "t_span": [t0, t1],
         "converged": None if steady is None else steady.converged,
         "steady_state": None if steady is None else asdict(steady),
@@ -135,7 +121,7 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
 
     manifest = {"tool": "entrain", "version": __version__, "command": "simulate"}
     manifest.update(params)
-    manifest["x0"] = list(map(float, x0))
+    manifest["x0"] = x0
     manifest["csv"] = "trajectory.csv"
     manifest["report"] = "report.json"
 
@@ -171,7 +157,7 @@ def _cmd_simulate(args) -> int:
         "input": spec.input_spec if args.input is None else args.input,
         "x0": list(spec.x0) if args.x0 is None else list(_parse_x0(args.x0)),
         "t_start": args.t_start,
-        "t_end": spec.t_span[1] if args.t_end is None else args.t_end,
+        "t_end": spec.t_end if args.t_end is None else args.t_end,
         "grid_step": args.grid_step,
         "rel_tol": args.rel_tol,
         "abs_tol": args.abs_tol,
@@ -199,7 +185,7 @@ def _cmd_lyapunov(args) -> int:
         sys_obj = build_system(args.scenario, K=args.K)
         x0_default = spec.x0
         signal = parse_input_spec(spec.input_spec if args.input is None else args.input)
-    x0 = np.asarray(x0_default if args.x0 is None else _parse_x0(args.x0), dtype=float)
+    x0 = x0_default if args.x0 is None else _parse_x0(args.x0)
 
     est = lyapunov_max(sys_obj, signal, x0, cfg)
     print(json.dumps(asdict(est)))
@@ -264,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="const:<c> | sin:<amp>:<omega>[:<phase>] | file:<path>")
     sim.add_argument("--x0", default=None, help="comma-separated initial state")
     sim.add_argument("--t-start", type=float, default=0.0)
-    sim.add_argument("--t-end", type=float, default=None)
+    sim.add_argument("--t-end", type=float, default=None,
+                     help="end of the run (default: scenario preset, 200)")
     sim.add_argument("--grid-step", type=float, default=0.01)
     sim.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset)")

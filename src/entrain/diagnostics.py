@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
 from .solver import (IntegrationError, IntegratorConfig, Trajectory, check_initial_state,
-                     integrate, pair_system)
+                     integrate, pair_system, uniform_grid)
 
 __all__ = [
     "SteadyStateReport",
@@ -274,9 +274,10 @@ def classify_response(
     yet the exponent reads clearly negative (diagnostics disagree) or the
     exponent could not be measured because the perturbation collapsed.
     A diverging run yields the "divergence" verdict rather than an
-    exception. The steady-state test sees the run on a 0.05 grid.
+    exception. The steady-state test sees the run on a 0.05 grid that ends
+    at ``ss_horizon``.
     """
-    grid = np.arange(0.0, ss_horizon + _GRID_STEP / 2, _GRID_STEP)
+    grid = uniform_grid(0.0, ss_horizon, _GRID_STEP)
     try:
         traj = integrate(sys, input_signal, x0, (0.0, ss_horizon), cfg,
                          output_grid=grid)
@@ -390,7 +391,8 @@ def monte_carlo(
     state uniformly from [-10, 10], then classifies the response to
     u = u0 and to u = sin t. Draws come from per-sample generators split
     off one seed, so results are reproducible and independent of ``jobs``;
-    sample i's draw does not change when n_samples grows.
+    sample i's draw does not change when n_samples grows. At most
+    ``min(jobs, n_samples)`` worker processes run; with one, no pool starts.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -407,7 +409,9 @@ def monte_carlo(
         x0 = rng.uniform(lo, hi, size=dim)
         tasks.append((i, scenario, u0, x0, cfg))
 
-    if jobs <= 1:
+    # a fork pool starts all its workers at once, needed or not
+    workers = min(jobs, n_samples)
+    if workers <= 1:
         return [_mc_sample(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_mc_sample, tasks))

@@ -47,7 +47,7 @@ class ScenarioSpec:
     x0: tuple[float, ...]
     compose: Callable[[float], ComposedSystem]
     input_spec: str = "sin:1:1"
-    t_span: tuple[float, float] = (0.0, 200.0)
+    t_end: float = 200.0
 
 
 def _interp_lorenz(K: float) -> ComposedSystem:

@@ -192,6 +192,26 @@ def check_initial_state(x0, dim: int) -> np.ndarray:
     return x0
 
 
+def uniform_grid(t0: float, t1: float, step: float) -> np.ndarray:
+    """Times ``t0, t0 + step, ...`` ending exactly at ``t1``.
+
+    arange's last point lies within half a step of ``t1``, on either side;
+    ``t1`` takes its place, so the grid ends where the span does. A span
+    shorter than half a step gives the two points ``t0, t1``.
+    """
+    if not all(map(math.isfinite, (t0, t1, step))):
+        raise ValueError(f"grid bounds and step must be finite, got {t0}, {t1}, {step}")
+    if not t1 > t0:
+        raise ValueError(f"grid end must exceed its start, got {t0} .. {t1}")
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    grid = np.arange(t0, t1 + step / 2, step)
+    if grid.size == 1:
+        grid = np.append(grid, t1)
+    grid[-1] = t1
+    return grid
+
+
 def integrate(
     sys: ComposedSystem,
     input_signal: InputSignal,

@@ -142,7 +142,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                  "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 5
-    assert "x0 must have shape (5,)" in err
+    # simulate and lyapunov report a wrong-length x0 from the same check
+    assert "error: x0 must have shape (5,), got (2,)\n" in err
+    assert "error: x0 must have shape (5,), got (3,)\n" in err
     # --scenario and --system exclude each other, and one of them is needed
     for target in ([], ["--scenario", "example1", "--system", "lorenz"]):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from entrain import diagnostics
 from entrain.blocks import (
     ComposedSystem,
     VectorField,
@@ -22,6 +23,7 @@ from entrain.diagnostics import (
     monte_carlo,
     tail_stats,
 )
+from entrain.scenarios import build_system
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import IntegratorConfig, Trajectory, integrate
 
@@ -236,6 +238,20 @@ def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
                           lyapunov_opts={"renorm_dt": -1.0})
 
 
+@pytest.mark.parametrize("ss_horizon", [12.34, 30.03, 30.01])
+def test_steady_state_grid_ends_at_the_horizon(ss_horizon):
+    # 0.05 does not divide these horizons; the grid still ends exactly there
+    x0 = np.array([5.0, 0.0, 1.0, 0.0, 0.0])
+    rec = classify_response(build_system("example1"), Constant(1.0), x0,
+                            ss_horizon=ss_horizon,
+                            lyapunov_opts={"transient": 0.0, "horizon": 50.0})
+    assert rec.verdict in VERDICTS
+    times = rec.trajectory.times
+    assert times[0] == 0.0 and times[-1] == ss_horizon
+    assert np.all(np.diff(times) > 0)
+    assert ss_horizon - times[-2] < 0.075
+
+
 def test_field_that_raises_on_a_trial_step_gets_a_verdict():
     # -v ** 3 from 1e3 raises OverflowError on its first trial steps, which
     # the integrator rejects; the run itself decays smoothly
@@ -292,3 +308,28 @@ def test_monte_carlo_draws_stable_under_growing_n():
     two = monte_carlo("example2", 2, seed=11, cfg=cfg)
     assert one[0].u0 == two[0].u0
     assert np.array_equal(one[0].x0, two[0].x0)
+
+
+def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(diagnostics, "_mc_sample", lambda task: task[0])
+    assert monte_carlo("example2", 2, jobs=64) == [0, 1]
+    assert pools == [2]
+    assert monte_carlo("example2", 1, jobs=64) == [0]  # serial: no pool
+    assert monte_carlo("example2", 3, jobs=1) == [0, 1, 2]
+    assert pools == [2]

@@ -66,7 +66,7 @@ def test_default_spec_is_runnable():
         assert spec.scenario_id == name
         assert sys.dim == len(spec.x0)
         assert sys.z == (2, 3, 4)
-        assert spec.t_span == (0.0, 200.0)
+        assert spec.t_end == 200.0
         assert spec.input_spec == "sin:1:1"
 
 

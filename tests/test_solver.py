@@ -33,6 +33,7 @@ from entrain.solver import (
     _sumsq,
     integrate,
     pair_system,
+    uniform_grid,
 )
 
 LAG = compose_autonomous(VectorField(1, lambda z: [-v + 1.0 for v in z]))
@@ -165,6 +166,31 @@ def test_grid_validation():
         integrate(DECAY, U0, np.array([1.0, 2.0]), (0.0, 1.0))  # bad x0 shape
     with pytest.raises(ValueError):
         integrate(DECAY, U0, np.array([1.0]), (1.0, 0.0))  # decreasing span
+
+
+def test_uniform_grid_ends_at_t1():
+    # the CLI tests cover a zero start and the pulled-in, pushed-out and
+    # two-point cases; 0.1 steps from 2.0 miss 2.3 by rounding
+    assert uniform_grid(2.0, 2.3, 0.1).tolist() == [2.0, 2.1, 2.2, 2.3]
+    # where the step divides the span, the grid is arange's, bit for bit
+    for t1 in (20.0, 30.0, 100.0, 200.0):
+        grid = np.arange(0.0, t1 + 0.025, 0.05)
+        assert grid[-1] == t1
+        assert uniform_grid(0.0, t1, 0.05).tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("t0, t1, step, match", [
+    (0.0, 0.0, 0.1, "exceed"),
+    (1.0, 0.0, 0.1, "exceed"),
+    (0.0, 1.0, 0.0, "positive"),
+    (0.0, 1.0, -0.1, "positive"),
+    (0.0, math.inf, 0.1, "finite"),
+    (0.0, math.nan, 0.1, "finite"),
+    (0.0, 1.0, math.nan, "finite"),
+])
+def test_uniform_grid_rejects_bad_bounds(t0, t1, step, match):
+    with pytest.raises(ValueError, match=match):
+        uniform_grid(t0, t1, step)
 
 
 def test_rk4_order_four():
@@ -574,12 +600,27 @@ REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("gridded", [False, True], ids=["dense", "grid"])
+def _edge_grid(t_end):
+    # first point after t0; last point 5e-13 past t_end, inside integrate's
+    # 1e-12 slack, so DP45 fills that row after its last step
+    grid = np.linspace(0.013, t_end, 97)
+    grid[-1] = t_end + 5e-13
+    return grid
+
+
+GRIDS = {
+    "dense": lambda t_end: None,
+    "grid": lambda t_end: np.arange(0.0, t_end, 0.05),
+    "edge-grid": _edge_grid,
+}
+
+
+@pytest.mark.parametrize("grid_id", GRIDS)
 @pytest.mark.parametrize("case", REFERENCE_CASES)
-def test_kernel_matches_numpy_reference_bitwise(case, gridded):
+def test_kernel_matches_numpy_reference_bitwise(case, grid_id):
     build, signal, x0, t_end = REFERENCE_CASES[case]
-    grid = np.arange(0.0, t_end, 0.05) if gridded else None
-    _assert_matches_reference(build(), signal, x0, (0.0, t_end), output_grid=grid)
+    _assert_matches_reference(build(), signal, x0, (0.0, t_end),
+                              output_grid=GRIDS[grid_id](t_end))
 
 
 # The list RK4 against the numpy RK4 it replaced: same step, stage inputs
@@ -628,15 +669,15 @@ def _ref_rk4(f, y0, k0, t0, t_end, cfg, grid):
     return grid.copy(), rows
 
 
-@pytest.mark.parametrize("gridded", [False, True], ids=["dense", "grid"])
+@pytest.mark.parametrize("grid_id", GRIDS)
 @pytest.mark.parametrize("case", ["example1-sin", "two-state-filter", "lorenz",
                                   "pair-example1"])
-def test_rk4_matches_numpy_reference_bitwise(case, gridded):
+def test_rk4_matches_numpy_reference_bitwise(case, grid_id):
     build, signal, x0, t_end = REFERENCE_CASES[case]
     sys = build()
     # h_init does not divide the grid step, so each interval is subdivided
     cfg = IntegratorConfig(method="rk4_fixed", h_init=0.007)
-    grid = np.arange(0.0, t_end, 0.05) if gridded else None
+    grid = GRIDS[grid_id](t_end)
 
     def f(t, y):
         return sys.rhs(t, y, signal(t))
