@@ -39,8 +39,7 @@ from .diagnostics import (
 from .lti import has_zero_at_origin, sinusoid_steady_state, transfer_eval
 from .scenarios import SCENARIO_IDS, build_reference_system, build_system, default_spec
 from .signals import parse_input_spec
-from .solver import (RK4_FIXED, RK45_ADAPTIVE, IntegrationError, IntegratorConfig,
-                     Trajectory, integrate, uniform_grid)
+from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate, uniform_grid
 
 __all__ = ["main", "run_from_manifest", "RunArtifacts"]
 
@@ -84,11 +83,7 @@ def _parse_x0(text: str) -> tuple[float, ...]:
 
 
 def _config_from(params: dict) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=params["method"],
-        rel_tol=params["rel_tol"],
-        abs_tol=params["abs_tol"],
-    )
+    return IntegratorConfig(rel_tol=params["rel_tol"], abs_tol=params["abs_tol"])
 
 
 def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
@@ -141,8 +136,13 @@ def run_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = No
         manifest = json.load(fh)
     if manifest.get("command") != "simulate":
         raise ValueError(f"manifest {manifest_path} does not describe a simulate run")
+    # Older manifests name the integrator; only a DOPRI5 run replays bit for bit.
+    method = manifest.get("method", "rk45_adaptive")
+    if method != "rk45_adaptive":
+        raise ValueError(f"manifest {manifest_path} was written with method {method!r}; "
+                         "only 'rk45_adaptive' (DOPRI5) can be replayed")
     keys = ("scenario", "K", "input", "x0", "t_start", "t_end",
-            "grid_step", "rel_tol", "abs_tol", "method")
+            "grid_step", "rel_tol", "abs_tol")
     params = {k: manifest[k] for k in keys}
     target = Path(out_dir) if out_dir is not None else manifest_path.parent
     target.mkdir(parents=True, exist_ok=True)
@@ -161,7 +161,6 @@ def _cmd_simulate(args) -> int:
         "grid_step": args.grid_step,
         "rel_tol": args.rel_tol,
         "abs_tol": args.abs_tol,
-        "method": args.method,
     }
     artifacts = _simulate_from_params(params, _out_dir(args))
     print(f"wrote {artifacts.trajectory_csv_path}")
@@ -229,8 +228,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     defaults = IntegratorConfig()
     p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
     p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
-    p.add_argument("--method", choices=(RK45_ADAPTIVE, RK4_FIXED),
-                   default=defaults.method)
     p.add_argument("--out-dir", default=os.environ.get("ENTRAIN_OUT_DIR", "."),
                    help="output directory (default: $ENTRAIN_OUT_DIR or .)")
 
@@ -281,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(mc)
     mc.set_defaults(func=_cmd_montecarlo)
 
-    fr = sub.add_parser("freqresp", help="front-end filter frequency response")
-    fr.add_argument("--scenario", choices=SCENARIO_IDS, default="example1",
-                    help="any scenario: all share filter_one(), W(s) = s/(s+1)")
+    fr = sub.add_parser("freqresp", help="front-end filter frequency response, "
+                                         "W(s) = s/(s+1), shared by every scenario")
     fr.set_defaults(func=_cmd_freqresp)
 
     return parser

@@ -57,7 +57,8 @@ _TAIL_FRACTION = 0.2
 _GRID_STEP = 0.05
 # Size of the perturbation lyapunov_max follows, in the first z-component.
 _D0 = 1e-8
-# Monte Carlo draws u0 and every x0 component uniformly from this range.
+# Monte Carlo draws u0 and every x0 component uniformly from this range,
+# then maps p0 into [0, 1].
 _SAMPLE_RANGE = (-10.0, 10.0)
 
 
@@ -388,8 +389,10 @@ def monte_carlo(
     """Sweep ``n_samples`` random (constant-input, initial-condition) draws.
 
     Each sample draws a constant-input magnitude u0 and a full initial
-    state uniformly from [-10, 10], then classifies the response to
-    u = u0 and to u = sin t. Draws come from per-sample generators split
+    state uniformly from [-10, 10], then maps p0 affinely into [0, 1], and
+    classifies the response to u = u0 and to u = sin t. The cascade keeps
+    p in [0, 1] once there, and a negative p would run the product-form
+    field backward in time. Draws come from per-sample generators split
     off one seed, so results are reproducible and independent of ``jobs``;
     sample i's draw does not change when n_samples grows. At most
     ``min(jobs, n_samples)`` worker processes run; with one, no pool starts.
@@ -400,13 +403,15 @@ def monte_carlo(
 
     from .scenarios import build_system
 
-    dim = build_system(scenario).dim
+    names = build_system(scenario).state_names
+    p = names.index("p")
     children = np.random.SeedSequence(seed).spawn(n_samples)
     tasks = []
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
         u0 = float(rng.uniform(lo, hi))
-        x0 = rng.uniform(lo, hi, size=dim)
+        x0 = rng.uniform(lo, hi, size=len(names))
+        x0[p] = (x0[p] - lo) / (hi - lo)
         tasks.append((i, scenario, u0, x0, cfg))
 
     # a fork pool starts all its workers at once, needed or not

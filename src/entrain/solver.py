@@ -1,24 +1,21 @@
 """Trajectory integration with controlled accuracy.
 
-Two explicit methods: an adaptive Dormand-Prince 4(5) embedded pair (the
-default; local error per step kept below rel_tol * |state| + abs_tol) and a
-fixed-step classical RK4 kept for convergence studies and bit-reproducible
-baselines. Output is sampled onto a caller-supplied grid; the adaptive
-method interpolates its internal steps with a cubic Hermite (locally
-4th-order accurate), the fixed-step method lands on grid points exactly.
+An adaptive Dormand-Prince 4(5) embedded pair keeps the local error per step
+below rel_tol * |state| + abs_tol. Output is sampled onto a caller-supplied
+grid by interpolating the internal steps with a cubic Hermite (locally
+4th-order accurate).
 
 Everything here is deterministic: same system, input, initial state and
-config produce bit-identical trajectories. The adaptive step runs on lists
-of Python floats and sums each stage's terms strictly left to right, as a
-per-term loop does, so a state component rounds the same way whatever else
-shares the state vector: two identical copies stacked by ``pair_system``
-evolve bit for bit alike.
+config produce bit-identical trajectories. The step runs on lists of Python
+floats and sums each stage's terms strictly left to right, as a per-term
+loop does, so a state component rounds the same way whatever else shares
+the state vector: two identical copies stacked by ``pair_system`` evolve
+bit for bit alike.
 
 Every RHS call gets the state as a list of Python floats and must return a
-new list of the same length (the ``ComposedSystem.rhs`` contract). Both
-methods keep the state and the stages in that format from step to step, so
-numpy appears only in the output arrays: the grid rows and the returned
-``Trajectory``.
+new list of the same length (the ``ComposedSystem.rhs`` contract). The state
+and the stages keep that format from step to step, so numpy appears only in
+the output arrays: the grid rows and the returned ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -40,12 +37,7 @@ __all__ = [
     "StepBudgetError",
     "integrate",
     "pair_system",
-    "RK4_FIXED",
-    "RK45_ADAPTIVE",
 ]
-
-RK4_FIXED = "rk4_fixed"
-RK45_ADAPTIVE = "rk45_adaptive"
 
 
 class IntegrationError(RuntimeError):
@@ -63,7 +55,7 @@ class StiffnessError(IntegrationError):
 class DivergenceError(IntegrationError):
     """The initial derivative was non-finite or raised ``ArithmeticError``,
     or trial steps stayed non-finite (or raised) until the step size fell
-    below h_min (RK4: a state became non-finite, or a stage raised)."""
+    below h_min."""
 
 
 class StepBudgetError(IntegrationError):
@@ -72,7 +64,6 @@ class StepBudgetError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = RK45_ADAPTIVE
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     h_init: float = 1e-3
@@ -81,8 +72,6 @@ class IntegratorConfig:
     max_steps: int = 10**8
 
     def __post_init__(self):
-        if self.method not in (RK4_FIXED, RK45_ADAPTIVE):
-            raise ValueError(f"unknown method {self.method!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if not (0 < self.h_min <= self.h_init <= self.h_max):
@@ -247,8 +236,7 @@ def integrate(
     def f(t: float, y: list[float]) -> list[float]:
         return sys.rhs(t, y, input_signal(t))
 
-    run = _run_rk4 if cfg.method == RK4_FIXED else _run_dp45
-    # The runners reject or raise on non-finite values themselves, so numpy's
+    # The runner rejects or raises on non-finite values itself, so numpy's
     # element-wise warnings (say, from a rejected trial step) are only noise.
     with np.errstate(all="ignore"):
         y0 = x0.tolist()
@@ -260,63 +248,8 @@ def integrate(
         if len(k0) != len(y0):  # zip would drop, numpy would broadcast
             raise ValueError(f"the right-hand side returned a vector of length "
                              f"{len(k0)} for a state of length {len(y0)}")
-        times, states = run(f, y0, k0, t0, t_end, cfg, grid)
+        times, states = _run_dp45(f, y0, k0, t0, t_end, cfg, grid)
     return Trajectory(times, states, sys.state_names)
-
-
-def _run_rk4(f, y0, k0, t0, t_end, cfg, grid):
-    """Classical RK4 with step h_init, subdividing each inter-target interval
-    evenly so targets (grid points and t_end) are hit exactly.
-
-    The state and the four stages are lists of Python floats, combined per
-    component: each stage input is ``y + (h / 2) * k`` and the update
-    ``y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4)``, summed in that order, which
-    the numpy reference in the tests pins bit for bit. ``k0 = f(t0, y0)``
-    serves as the first step's k1.
-    """
-    isfinite = math.isfinite
-    targets = [t_end] if grid is None else grid.tolist()
-    rows = None if grid is None else np.empty((len(targets), len(y0)))
-    dense_t, dense_y = [t0], [y0]
-    t, y = t0, y0
-    k1 = k0
-    steps = 0
-    for gi, target in enumerate(targets):
-        span = target - t
-        if span > 0:
-            n_sub = max(1, math.ceil(span / cfg.h_init - 1e-9))
-            h = span / n_sub
-            h2, h6 = h / 2, h / 6
-            base = t
-            for i in range(n_sub):
-                if steps >= cfg.max_steps:
-                    raise StepBudgetError(
-                        f"exceeded max_steps={cfg.max_steps}", last_good_time=t)
-                try:
-                    if steps:
-                        k1 = f(t, y)
-                    k2 = f(t + h2, [y_ + h2 * a for y_, a in zip(y, k1)])
-                    k3 = f(t + h2, [y_ + h2 * b for y_, b in zip(y, k2)])
-                    k4 = f(t + h, [y_ + h * c for y_, c in zip(y, k3)])
-                except ArithmeticError as exc:
-                    raise DivergenceError(f"a stage raised {exc!r}",
-                                          last_good_time=t) from exc
-                steps += 1
-                y = [y_ + h6 * (a + 2 * b + 2 * c + d)
-                     for y_, a, b, c, d in zip(y, k1, k2, k3, k4)]
-                t = base + (i + 1) * h
-                if not all(map(isfinite, y)):
-                    raise DivergenceError("state became non-finite",
-                                          last_good_time=base + i * h)
-                if grid is None:
-                    dense_t.append(t)
-                    dense_y.append(y)
-            t = target
-        if rows is not None:
-            rows[gi] = y
-    if grid is None:
-        return np.array(dense_t), np.array(dense_y)
-    return grid.copy(), rows
 
 
 def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):

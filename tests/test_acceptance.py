@@ -134,16 +134,6 @@ def test_structural_property_suite():
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(a), np.abs(b))
         assert np.max(np.abs(a - b) / scale) < 10.0
 
-    # fixed-step rk4: halving h shrinks global error ~2^4
-    decay = compose_autonomous(VectorField(1, lambda z: [-v for v in z]))
-    errs = []
-    for h in (0.1, 0.05):
-        cfg4 = IntegratorConfig(method="rk4_fixed", h_init=h)
-        traj = integrate(decay, U_NONE, np.array([1.0]), (0.0, 1.0), cfg4,
-                         output_grid=np.array([1.0]))
-        errs.append(abs(float(traj.final_state[0]) - np.exp(-1.0)))
-    assert 12.0 <= errs[0] / errs[1] <= 20.0
-
     # the general composition with the bundled blocks IS example1, bit for bit
     g = compose_cascade(filter_one(), Saturation(0.1), lorenz_field())
     e1 = compose_example1()

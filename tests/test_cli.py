@@ -48,7 +48,7 @@ def test_simulate_writes_csv_report_manifest(tmp_path, capsys):
     assert manifest["command"] == "simulate"
     assert manifest["csv"] == "trajectory.csv"
     for key in ("scenario", "K", "input", "x0", "t_start", "t_end",
-                "grid_step", "rel_tol", "abs_tol", "method", "version"):
+                "grid_step", "rel_tol", "abs_tol", "version"):
         assert key in manifest
 
 
@@ -115,6 +115,26 @@ def test_replay_rejects_foreign_manifest(tmp_path):
         run_from_manifest(bad)
 
 
+def test_replay_of_a_manifest_that_names_its_method(tmp_path):
+    # manifests once recorded the integrator: a DOPRI5 one still replays
+    # byte for byte, and one written for any other method is refused
+    src = tmp_path / "src"
+    assert main(["simulate", "--scenario", "example1", "--t-end", "12",
+                 "--grid-step", "0.05", "--out-dir", str(src)]) == 0
+    manifest = json.loads((src / "manifest.json").read_text())
+    assert "method" not in manifest
+    for method in ("rk45_adaptive", "rk4_fixed"):
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps({**manifest, "method": method}))
+        if method == "rk45_adaptive":
+            run_from_manifest(path, out_dir=tmp_path / method)
+            for name in ("trajectory.csv", "report.json"):
+                assert read(tmp_path / method / name) == read(src / name)
+        else:
+            with pytest.raises(ValueError, match="'rk4_fixed'"):
+                run_from_manifest(path, out_dir=tmp_path / method)
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ENTRAIN_OUT_DIR", str(tmp_path / "from_env"))
     rc = main(["simulate", "--scenario", "example1", "--t-end", "12"])
@@ -126,6 +146,20 @@ def test_unknown_scenario_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "example9", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "example1", "--method", "rk4_fixed"],
+    ["lyapunov", "--scenario", "example1", "--method", "rk45_adaptive"],
+    ["montecarlo", "--scenario", "example2", "--n", "1", "--method", "rk4_fixed"],
+    ["freqresp", "--scenario", "example2"],
+], ids=["simulate-method", "lyapunov-method", "montecarlo-method",
+        "freqresp-scenario"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):
@@ -170,7 +204,7 @@ def test_divergence_exits_3_and_names_last_good_time(tmp_path, capsys):
 
 
 def test_freqresp_reports_zero_at_origin(capsys):
-    assert main(["freqresp", "--scenario", "example2"]) == 0
+    assert main(["freqresp"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("zero at origin: yes")
     assert out[1] == "omega,magnitude,phase"

@@ -333,3 +333,28 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
     assert monte_carlo("example2", 1, jobs=64) == [0]  # serial: no pool
     assert monte_carlo("example2", 3, jobs=1) == [0, 1, 2]
     assert pools == [2]
+
+
+def test_monte_carlo_maps_p0_into_the_unit_interval(monkeypatch):
+    # A negative p runs example1's Lorenz block backward in time: with seed 0,
+    # samples 4 and 6 drew p0 = -6.72 and -4.93, and sample 4's constant leg
+    # ran for minutes. p0 is now mapped affinely into [0, 1]; u0 and the other
+    # components keep the raw draw's bits.
+    tasks = []
+    monkeypatch.setattr(diagnostics, "_mc_sample", tasks.append)
+    monte_carlo("example1", 8, seed=0)
+    p = build_system("example1").state_names.index("p")
+    for task, child in zip(tasks, np.random.SeedSequence(0).spawn(8)):
+        rng = np.random.default_rng(child)
+        assert task[2] == rng.uniform(-10.0, 10.0)
+        raw = rng.uniform(-10.0, 10.0, size=5)
+        x0 = task[3]
+        assert 0.0 <= x0[p] <= 1.0
+        assert x0[p] == (raw[p] + 10.0) / 20.0
+        assert np.array_equal(np.delete(x0, p), np.delete(raw, p))
+    assert tasks[4][3][p] == pytest.approx((-6.72 + 10.0) / 20.0, abs=1e-3)
+
+    _, scenario, u0, x0, cfg = tasks[4]
+    record = classify_response(build_system(scenario), Constant(u0), x0, cfg,
+                               always_lyapunov=True)
+    assert record.verdict == VERDICT_STEADY_STATE
