@@ -275,8 +275,10 @@ def classify_response(
     yet the exponent reads clearly negative (diagnostics disagree) or the
     exponent could not be measured because the perturbation collapsed.
     A diverging run yields the "divergence" verdict rather than an
-    exception. The steady-state test sees the run on a 0.05 grid that ends
-    at ``ss_horizon``.
+    exception; so does a run that exceeds the integrator's step budget,
+    one that crawls at more than 10,000 trial steps per unit of time. The
+    steady-state test sees the run on a 0.05 grid that ends at
+    ``ss_horizon``.
     """
     grid = uniform_grid(0.0, ss_horizon, _GRID_STEP)
     try:

@@ -187,7 +187,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("arg", ["--input=const:nan", "--input=sin:inf:1",
-                                 "--input=sin:1:inf", "--x0=nan,0,1,0,0"])
+                                 "--input=sin:1:inf", "--x0=nan,0,1,0,0",
+                                 "--rel-tol=inf", "--rel-tol=nan", "--abs-tol=inf"])
 def test_nonfinite_arguments_exit_2(arg, tmp_path, capsys):
     assert main(["lyapunov", "--scenario", "example1", arg,
                  "--out-dir", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_lyapunov_of_linear_decay_is_minus_one():
     assert est.perturbation_size == 1e-8
 
 
+def test_lyapunov_of_constant_legs_is_exact():
+    # example1's lag p decays to 0 and freezes z, so lambda -> 0; example2 at
+    # p = 0 leaves a linear z block with eigenvalues -10, -1, -8/3
+    est = lyapunov_max(compose_example1(), Constant(10.0),
+                       np.array([5.0, 0.0, 1.0, 0.0, 0.0]))
+    assert abs(est.lambda_max) < 1e-3
+    est = lyapunov_max(compose_example2(), Constant(5.13),
+                       np.array([2.95, -0.98, 0.94, -4.07, 4.89]))
+    assert est.lambda_max == pytest.approx(-1.0, abs=1e-3)
+
+
 def test_lyapunov_preconditions():
     with pytest.raises(ValueError):
         lyapunov_max(DECAY, U0, np.array([1.0]), horizon=30.0)  # < 100 intervals
@@ -206,6 +218,17 @@ def test_verdict_divergence_instead_of_crash():
     rec = classify_response(blow, U0, np.array([1.0]), ss_horizon=20.0)
     assert rec.verdict == "divergence"
     assert rec.lyapunov is None
+
+
+@pytest.mark.parametrize("signal", [Constant(3.0), Sinusoid()])
+def test_negative_p0_crawl_reads_divergence_quickly(signal):
+    # p < 0 runs example1's Lorenz block backward in time: the steps shrink
+    # until the step budget ends the run, in well under a second
+    x0 = np.array([5.0, -6.72, 1.0, 0.0, 0.0])
+    start = time.perf_counter()
+    rec = classify_response(compose_example1(), signal, x0)
+    assert rec.verdict == "divergence"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_classify_skips_lyapunov_when_converged():

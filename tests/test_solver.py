@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrain import solver
 from entrain.blocks import (
     ComposedSystem,
     Saturation,
@@ -56,12 +57,14 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(abs_tol=-1e-10)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_min=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(h_init=1.0, h_max=0.1)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("tol", [{"rel_tol": math.inf}, {"rel_tol": math.nan},
+                                 {"abs_tol": math.inf}])
+def test_nonfinite_tolerances_are_rejected(tol):
+    # an infinite tolerance accepts every trial step: no error control at all
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorConfig(**tol)
 
 
 def test_lag_block_closed_form():
@@ -212,18 +215,19 @@ def test_tolerance_tightening_shrinks_differences():
     assert d_tight < d_loose / 20.0
 
 
-def test_divergence_error_reports_last_good_time():
+def test_divergence_error_reports_last_good_time(monkeypatch):
+    # with a step floor this low, overflow comes before the step underflows
+    monkeypatch.setattr(solver, "_H_MIN", 1e-300)
     with pytest.raises(DivergenceError) as err:
         # solution blows up at t = 1; overflow long before t = 2
-        integrate(BLOWUP, U0, np.array([1.0]), (0.0, 2.0),
-                  IntegratorConfig(h_min=1e-300))
+        integrate(BLOWUP, U0, np.array([1.0]), (0.0, 2.0))
     assert 0.9 <= err.value.last_good_time <= 1.01
     assert "last good time" in str(err.value)
 
 
 def test_stiffness_error_when_step_underflows():
     with pytest.raises(StiffnessError):
-        # with the default h_min the step controller underflows first
+        # with the default step floor the step controller underflows first
         integrate(BLOWUP, U0, np.array([1.0]), (0.0, 2.0))
 
 
@@ -252,9 +256,31 @@ def test_initial_derivative_that_raises_is_a_divergence():
 
 
 def test_step_budget_error():
-    with pytest.raises(StepBudgetError):
-        integrate(DECAY, U0, np.array([1.0]), (0.0, 10.0),
-                  IntegratorConfig(max_steps=3))
+    # dz = -1e7 z holds DOPRI5 to steps of about 3e-7, so it would need
+    # millions of trials for [0, 1]; the budget stops it early in the span
+    stiff = compose_autonomous(VectorField(1, lambda z: [-1e7 * v for v in z]))
+    with pytest.raises(StepBudgetError) as err:
+        integrate(stiff, U0, np.array([1.0]), (0.0, 1.0))
+    assert 0.0 < err.value.last_good_time < 0.01
+    assert "per unit of time" in str(err.value)
+
+
+def test_tight_tolerance_run_stays_within_the_step_budget():
+    # example2 under sin t at rel_tol = 1e-12 is the most step-hungry run of
+    # a bundled scenario; it uses under a tenth of the budget
+    sys = compose_example2()
+    calls = []
+
+    def rhs(t, y, u):
+        calls.append(t)
+        return sys.rhs(t, y, u)
+
+    t_end = 20.0
+    traj = integrate(ComposedSystem(rhs, sys.state_names), Sinusoid(), np.array(EXAMPLE2_X0), (0.0, t_end),
+                     IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+    assert traj.times[-1] == t_end
+    trials = (len(calls) - 1) / 6
+    assert trials < solver._MAX_STEPS_PER_UNIT * (1.0 + t_end) / 10
 
 
 def _pair_halves(sys, x0_a, x0_b, t_span, output_grid):
@@ -333,11 +359,12 @@ class _StopStep(Exception):
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
-def test_combine_matches_loop_bitwise(dim):
+def test_combine_matches_loop_bitwise(dim, monkeypatch):
     # Feed the first step chosen stage derivatives and record the stage
     # inputs it asks for: each is y + h * (the per-term loop over its row).
     rng = np.random.default_rng(dim)
     h = 0.0137
+    monkeypatch.setattr(solver, "_H_INIT", h)
     for _ in range(20):
         K = _random_stages(rng, dim)
         x0 = _random_stages(rng, dim, 1)[0]
@@ -351,7 +378,7 @@ def test_combine_matches_loop_bitwise(dim):
 
         fed = compose_autonomous(VectorField(dim, field))
         with pytest.raises(_StopStep):
-            integrate(fed, U0, x0, (0.0, 1.0), IntegratorConfig(h_init=h))
+            integrate(fed, U0, x0, (0.0, 1.0))
         assert inputs[0].tobytes() == x0.tobytes()
         for i in range(1, 6):
             assert inputs[i].tobytes() == (x0 + h * _combine_loop(_DP_A[i], K, i)).tobytes()
@@ -464,18 +491,18 @@ def _ref_dp45(f, x0, t0, t_end, cfg, grid):
         raise DivergenceError("derivative non-finite at initial state",
                               last_good_time=t0)
     abs_y = np.abs(y)
-    h = min(cfg.h_init, t_end - t0)
+    h = min(solver._H_INIT, t_end - t0)
     steps = 0
     finite = True
     eps_end = 1e-14 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
-        if steps >= cfg.max_steps:
-            raise StepBudgetError("exceeded max_steps", last_good_time=t)
         steps += 1
-        if h < cfg.h_min:
+        if steps > solver._MAX_STEPS_PER_UNIT * (1.0 + t - t0):
+            raise StepBudgetError("over the step budget", last_good_time=t)
+        if h < solver._H_MIN:
             if not finite:
                 raise DivergenceError("non-finite", last_good_time=t)
-            raise StiffnessError("h below h_min", last_good_time=t)
+            raise StiffnessError("h below the step floor", last_good_time=t)
         h_step = min(h, t_end - t)
 
         for i in range(1, 7):
@@ -509,7 +536,7 @@ def _ref_dp45(f, x0, t0, t_end, cfg, grid):
                 _MAX_FACTOR, _SAFETY * err ** -0.2)
         else:
             factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        h = min(cfg.h_max, h_step * factor)
+        h = min(solver._H_MAX, h_step * factor)
 
     if grid is None:
         return np.array(dense_t), np.array(dense_y)
@@ -598,9 +625,10 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
                               output_grid=np.linspace(0.0, 3.0, 31))
 
 
-def test_kernel_matches_numpy_reference_with_rejected_steps():
+def test_kernel_matches_numpy_reference_with_rejected_steps(monkeypatch):
     # a tight tolerance and a large first step: the controller rejects steps
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, h_init=0.1)
+    monkeypatch.setattr(solver, "_H_INIT", 0.1)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
     n_calls = _assert_matches_reference(compose_example1(), Sinusoid(), EXAMPLE_X0,
                                         (0.0, 2.0), cfg)
     accepted = integrate(compose_example1(), Sinusoid(), np.array(EXAMPLE_X0),
