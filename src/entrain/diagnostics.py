@@ -9,6 +9,7 @@ The central question these answer: does a forced run settle to a constant
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,10 +54,17 @@ _MIN_SPAN = 10.0
 _MIN_RENORM_EVENTS = 50
 # The trailing share of a run that the steady-state test and tail_stats see.
 _TAIL_FRACTION = 0.2
-# Output grid step of classify_response's steady-state run.
+# Step of the grid on which classify_response's steady-state test sees a run.
 _GRID_STEP = 0.05
+# A grid point this close to the end of a renormalization window is sampled
+# at that end.
+_SNAP = 1e-9
 # Size of the perturbation lyapunov_max follows, in the first z-component.
 _D0 = 1e-8
+# lyapunov_max's defaults, which classify_response's lyapunov_opts override.
+_TRANSIENT = 100.0
+_HORIZON = 400.0
+_RENORM_DT = 0.5
 # Monte Carlo draws u0 and every x0 component uniformly from this range,
 # then maps p0 into [0, 1].
 _SAMPLE_RANGE = (-10.0, 10.0)
@@ -158,8 +166,86 @@ def tail_stats(traj: Trajectory, variable: str) -> TailStats:
     )
 
 
-class _PerturbationCollapsed(ValueError):
-    """The perturbed copy landed bitwise on the reference: no exponent."""
+def _renorm_windows(sys: ComposedSystem, transient: float = _TRANSIENT,
+                    horizon: float = _HORIZON, renorm_dt: float = _RENORM_DT):
+    """Check ``lyapunov_max``'s settings against ``sys``.
+
+    Returns ``transient``, ``renorm_dt`` and the indices k of the windows
+    ((k - 1) renorm_dt, k renorm_dt] whose growth the estimate averages:
+    those that end after ``transient`` and by ``horizon``.
+    """
+    if not all(map(math.isfinite, (transient, horizon, renorm_dt))):
+        raise ValueError(f"transient, horizon and renorm_dt must be finite, got "
+                         f"{transient}, {horizon}, {renorm_dt}")
+    if renorm_dt <= 0:
+        raise ValueError("renorm_dt must be positive")
+    if horizon < 100 * renorm_dt:
+        raise ValueError(
+            f"horizon {horizon:g} too short: need at least 100 renormalization "
+            f"intervals ({100 * renorm_dt:g})"
+        )
+    if not 0.0 <= transient < horizon:
+        raise ValueError("need 0 <= transient < horizon")
+    if not sys.z:
+        raise ValueError("system has no 'z' block to perturb")
+    last = int(math.floor(horizon / renorm_dt + 1e-9))
+    first = next((k for k in range(1, last + 1)
+                  if k * renorm_dt > transient + 1e-12), last + 1)
+    counted = range(first, last + 1)
+    if len(counted) < _MIN_RENORM_EVENTS:
+        raise ValueError(
+            f"only {len(counted)} renormalization events after the transient; "
+            f"need at least {_MIN_RENORM_EVENTS}"
+        )
+    return transient, renorm_dt, counted
+
+
+def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
+    """Run x0 and a copy perturbed by _D0 in its first z-component as one
+    pair, in windows ((k - 1) renorm_dt, k renorm_dt] for k = 1, 2, ...
+
+    After each window this yields the separation d of the copies at its end
+    and the reference half at the points of ``grid`` inside the window, then
+    pulls the copy back to distance _D0 along the separation (onto the
+    reference when d is 0). A grid point within _SNAP of a window's end is
+    sampled at that end. The grid rides on the window's own ``integrate``
+    call, and grid output does not steer step control, so d does not depend
+    on ``grid``.
+    """
+    x0 = check_initial_state(x0, sys.dim)
+    n = sys.dim
+    joint = pair_system(sys)
+
+    state = np.concatenate([x0, x0])
+    state[n + sys.z[0]] += _D0
+    t, lo = 0.0, 0
+    for k in itertools.count(1):
+        t_next = k * renorm_dt
+        hi = int(np.searchsorted(grid, t_next + _SNAP, side="right"))
+        points = grid[lo:hi]
+        if points.size and points[-1] > t_next - _SNAP:
+            points = points[:-1]  # the window's end stands in for it
+        traj = integrate(joint, input_signal, state, (t, t_next), cfg,
+                         output_grid=np.append(points, t_next))
+        state = traj.final_state.copy()
+        delta = state[n:] - state[:n]
+        d = float(np.linalg.norm(delta))
+        yield d, traj.states[:hi - lo, :n]
+        if d == 0.0:
+            state[n:] = state[:n]
+        else:
+            state[n:] = state[:n] + delta * (_D0 / d)
+        t, lo = t_next, hi
+
+
+def _estimate(log_sum, transient, renorm_dt, counted) -> LyapunovEstimate:
+    return LyapunovEstimate(
+        lambda_max=log_sum / (len(counted) * renorm_dt),
+        renorm_interval=renorm_dt,
+        renorm_count=len(counted),
+        transient_discarded=transient,
+        perturbation_size=_D0,
+    )
 
 
 def lyapunov_max(
@@ -168,9 +254,9 @@ def lyapunov_max(
     x0: np.ndarray,
     cfg: IntegratorConfig = IntegratorConfig(),
     *,
-    transient: float = 100.0,
-    horizon: float = 400.0,
-    renorm_dt: float = 0.5,
+    transient: float = _TRANSIENT,
+    horizon: float = _HORIZON,
+    renorm_dt: float = _RENORM_DT,
 ) -> LyapunovEstimate:
     """Estimate the largest Lyapunov exponent by two-trajectory
     renormalization.
@@ -186,69 +272,33 @@ def lyapunov_max(
     contracts by construction; perturbing it would only slow convergence of
     the estimate.
     """
-    if renorm_dt <= 0:
-        raise ValueError("renorm_dt must be positive")
-    if horizon < 100 * renorm_dt:
-        raise ValueError(
-            f"horizon {horizon:g} too short: need at least 100 renormalization "
-            f"intervals ({100 * renorm_dt:g})"
-        )
-    if not 0.0 <= transient < horizon:
-        raise ValueError("need 0 <= transient < horizon")
-    if not sys.z:
-        raise ValueError("system has no 'z' block to perturb")
-
-    x0 = check_initial_state(x0, sys.dim)
-    n = sys.dim
-    joint = pair_system(sys)
-
-    state = np.concatenate([x0, x0])
-    state[n + sys.z[0]] += _D0
-
-    n_windows = int(math.floor(horizon / renorm_dt + 1e-9))
+    transient, renorm_dt, counted = _renorm_windows(sys, transient, horizon,
+                                                    renorm_dt)
     log_sum = 0.0
-    count = 0
-    t = 0.0
-    for k in range(1, n_windows + 1):
-        t_next = k * renorm_dt
-        traj = integrate(joint, input_signal, state, (t, t_next), cfg,
-                         output_grid=np.array([t_next]))
-        state = traj.final_state.copy()
-        delta = state[n:] - state[:n]
-        d = float(np.linalg.norm(delta))
+    windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt)
+    for k, (d, _) in enumerate(windows, 1):
         if d == 0.0:
-            raise _PerturbationCollapsed(
+            raise ValueError(
                 "perturbation collapsed to exactly zero; cannot renormalize"
             )
-        if t_next > transient + 1e-12:
+        if k in counted:
             log_sum += math.log(d / _D0)
-            count += 1
-        state[n:] = state[:n] + delta * (_D0 / d)
-        t = t_next
-
-    if count < _MIN_RENORM_EVENTS:
-        raise ValueError(
-            f"only {count} renormalization events after the transient; "
-            f"need at least {_MIN_RENORM_EVENTS}"
-        )
-    return LyapunovEstimate(
-        lambda_max=log_sum / (count * renorm_dt),
-        renorm_interval=renorm_dt,
-        renorm_count=count,
-        transient_discarded=transient,
-        perturbation_size=_D0,
-    )
+        if k == counted[-1]:
+            break
+    return _estimate(log_sum, transient, renorm_dt, counted)
 
 
 @dataclass(frozen=True)
 class VerdictRecord:
     """Verdict plus the evidence behind it.
 
-    ``lyapunov`` is None when the steady-state test already settled the
-    verdict, when the Lyapunov run diverged, or when its perturbation
-    collapsed to exactly zero; in the last case a converged steady-state
-    test gives the verdict, and otherwise it is inconclusive.
-    ``trajectory`` is the run the steady-state test saw.
+    ``trajectory`` is the run the steady-state test saw: the reference half
+    of the Lyapunov pair on the steady-state grid. It and ``steady`` are
+    None when the pair diverged before ``ss_horizon``. ``lyapunov`` is None
+    when the steady-state test already settled the verdict, when the pair
+    diverged after ``ss_horizon``, or when its perturbation collapsed to
+    exactly zero; in the last case a converged steady-state test gives the
+    verdict, and otherwise it is inconclusive.
     """
 
     verdict: str
@@ -267,37 +317,60 @@ def classify_response(
     always_lyapunov: bool = False,
     lyapunov_opts: dict | None = None,
 ) -> VerdictRecord:
-    """Run the steady-state test and, when needed, the Lyapunov estimate.
+    """Run the steady-state test and, when needed, the Lyapunov estimate,
+    on one run of the two-trajectory pair that ``lyapunov_max`` uses.
 
-    Verdict rule: steady_state if the tail is asymptotically constant;
-    otherwise chaotic_like when lambda_max > 0.05, sustained_oscillation
-    when |lambda_max| <= 0.05, and inconclusive when the tail keeps moving
-    yet the exponent reads clearly negative (diagnostics disagree) or the
-    exponent could not be measured because the perturbation collapsed.
+    The steady-state test sees the pair's reference half on a 0.05 grid
+    that ends at ``ss_horizon``. Verdict rule: steady_state if its tail is
+    asymptotically constant; otherwise chaotic_like when lambda_max > 0.05,
+    sustained_oscillation when |lambda_max| <= 0.05, and inconclusive when
+    the tail keeps moving yet the exponent reads clearly negative
+    (diagnostics disagree) or the exponent could not be measured because
+    the perturbation collapsed. When the tail has converged and
+    ``always_lyapunov`` is off, the run stops after the renormalization
+    window that holds ``ss_horizon``; otherwise it goes on to the
+    estimator's ``horizon``, and the exponent has the bits ``lyapunov_max``
+    gives with the same ``lyapunov_opts``.
+
     A diverging run yields the "divergence" verdict rather than an
     exception; so does a run that exceeds the integrator's step budget,
-    one that crawls at more than 10,000 trial steps per unit of time. The
-    steady-state test sees the run on a 0.05 grid that ends at
-    ``ss_horizon``.
+    one that crawls at more than 10,000 trial steps per unit of time.
+    ``ss_horizon`` (at least 10), ``lyapunov_opts`` and the system's z
+    block are checked before the first step, as ``lyapunov_max`` checks
+    them.
     """
+    if not ss_horizon >= _MIN_SPAN:
+        raise ValueError(f"ss_horizon must be at least {_MIN_SPAN:g}, got {ss_horizon}")
     grid = uniform_grid(0.0, ss_horizon, _GRID_STEP)
+    transient, renorm_dt, counted = _renorm_windows(sys, **(lyapunov_opts or {}))
+
+    steady = traj = None
+    parts, filled = [], 0
+    log_sum, measured = 0.0, True
+    windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid)
     try:
-        traj = integrate(sys, input_signal, x0, (0.0, ss_horizon), cfg,
-                         output_grid=grid)
+        for k, (d, rows) in enumerate(windows, 1):
+            if d == 0.0 and k <= counted[-1]:
+                measured = False
+            elif k in counted:
+                log_sum += math.log(d / _D0)
+            parts.append(rows)
+            filled += len(rows)
+            if steady is None and filled == grid.size:
+                traj = Trajectory(grid, np.concatenate(parts), sys.state_names)
+                steady = detect_steady_state(traj)
+                if steady.converged and not always_lyapunov:
+                    break
+            if steady is not None and (k >= counted[-1] or not measured):
+                break
     except IntegrationError:
-        return VerdictRecord(VERDICT_DIVERGENCE, None, None, None)
-    steady = detect_steady_state(traj)
+        if steady is None or not steady.converged:
+            return VerdictRecord(VERDICT_DIVERGENCE, steady, None, traj)
+        measured = False
 
     estimate = None
-    if always_lyapunov or not steady.converged:
-        try:
-            estimate = lyapunov_max(sys, input_signal, x0, cfg,
-                                    **(lyapunov_opts or {}))
-        except IntegrationError:
-            if not steady.converged:
-                return VerdictRecord(VERDICT_DIVERGENCE, steady, None, traj)
-        except _PerturbationCollapsed:
-            pass
+    if measured and (always_lyapunov or not steady.converged):
+        estimate = _estimate(log_sum, transient, renorm_dt, counted)
 
     if steady.converged:
         verdict = VERDICT_STEADY_STATE
@@ -401,6 +474,8 @@ def monte_carlo(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     lo, hi = _SAMPLE_RANGE
 
     from .scenarios import build_system

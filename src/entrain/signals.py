@@ -73,7 +73,7 @@ class Sinusoid(InputSignal):
             raise ValueError(f"sinusoid omega must be positive, got {self.omega}")
 
     def __call__(self, t: float) -> float:
-        return float(self.amplitude * np.sin(self.omega * t + self.phase))
+        return self.amplitude * math.sin(self.omega * t + self.phase)
 
     @property
     def spec(self) -> str:

@@ -166,6 +166,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["montecarlo", "--scenario", "example2", "--n", "0",
                  "--out-dir", out]) == 2
+    assert main(["montecarlo", "--scenario", "example2", "--n", "1", "--jobs", "-3",
+                 "--out-dir", out]) == 2
     assert main(["simulate", "--scenario", "example1", "--x0", "1,2",
                  "--t-end", "20", "--out-dir", out]) == 2
     assert main(["simulate", "--scenario", "example1", "--input", "tri:1:1",
@@ -175,7 +177,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert main(["lyapunov", "--scenario", "example1", "--x0", "1,2,3",
                  "--out-dir", out]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 6
+    assert "error: jobs must be at least 1, got -3\n" in err
     # simulate and lyapunov report a wrong-length x0 from the same check
     assert "error: x0 must have shape (5,), got (2,)\n" in err
     assert "error: x0 must have shape (5,), got (3,)\n" in err

@@ -26,9 +26,11 @@ from entrain.diagnostics import (
 )
 from entrain.scenarios import build_system
 from entrain.signals import Constant, Sinusoid
-from entrain.solver import IntegratorConfig, Trajectory, integrate
+from entrain.solver import IntegratorConfig, Trajectory, integrate, uniform_grid
 
 DECAY = compose_autonomous(VectorField(1, lambda z: [-v for v in z]))
+EXAMPLE_X0 = {"example1": [5.0, 0.0, 1.0, 0.0, 0.0],
+              "example2": [2.95, -0.98, 0.94, -4.07, 4.89]}
 U0 = Constant(0.0)
 VERDICTS = {VERDICT_STEADY_STATE, VERDICT_OSCILLATION, VERDICT_CHAOTIC,
             VERDICT_INCONCLUSIVE, VERDICT_DIVERGENCE}
@@ -170,6 +172,10 @@ def test_lyapunov_needs_a_z_block():
     assert calls == []  # rejected before integrating
     with pytest.raises(ValueError, match="no 'z' block"):
         classify_response(no_z, U0, np.array([1.0]), always_lyapunov=True)
+    # a leg that would settle is rejected too, before its first step
+    with pytest.raises(ValueError, match="no 'z' block"):
+        classify_response(no_z, U0, np.array([1.0]))
+    assert calls == []
 
 
 def test_lyapunov_checks_x0_against_the_system():
@@ -284,11 +290,154 @@ def test_field_that_raises_on_a_trial_step_gets_a_verdict():
     assert rec.verdict != "divergence"
 
 
+@pytest.mark.parametrize("opts, error", [
+    ({"ss_horizon": 5.0}, ValueError),
+    ({"ss_horizon": float("nan")}, ValueError),
+    ({"lyapunov_opts": {"renorm_dt": -1.0}}, ValueError),
+    ({"lyapunov_opts": {"transient": 395.0}}, ValueError),
+    ({"lyapunov_opts": {"bogus_key": 1}}, TypeError),
+])
+def test_classify_checks_its_arguments_before_any_step(opts, error):
+    # DECAY settles, so before these checks ran up front a settling leg
+    # never read lyapunov_opts and returned steady_state
+    calls = []
+
+    def rhs(t, state, u):
+        calls.append(t)
+        return [-v for v in state]
+
+    decay = ComposedSystem(rhs, ("z",), z=(0,))
+    with pytest.raises(error):
+        classify_response(decay, U0, np.array([5.0]), **opts)
+    assert calls == []
+
+
+# ------------------------------------------------------- one pair run per verdict
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("signal", [Sinusoid(), Constant(3.7)])
+def test_classify_exponent_has_the_bits_of_lyapunov_max(name, signal):
+    # the steady-state grid rides on the pair's windows without steering them
+    sys, x0 = build_system(name), np.array(EXAMPLE_X0[name])
+    rec = classify_response(sys, signal, x0, always_lyapunov=True)
+    assert rec.lyapunov == lyapunov_max(sys, signal, x0)
+
+
+def test_classify_exponent_when_the_steady_grid_outruns_the_horizon():
+    # ss_horizon past the estimator's horizon: the windows go on to 60.5,
+    # and the exponent still averages only those up to 50
+    sys, x0 = build_system("example1"), np.array(EXAMPLE_X0["example1"])
+    opts = {"transient": 10.0, "horizon": 50.0}
+    rec = classify_response(sys, Sinusoid(), x0, ss_horizon=60.3,
+                            always_lyapunov=True, lyapunov_opts=opts)
+    assert rec.trajectory.times[-1] == 60.3
+    assert rec.lyapunov == lyapunov_max(sys, Sinusoid(), x0, **opts)
+
+
+def _record_integrate_calls(monkeypatch):
+    calls = []
+
+    def counting(sys, input_signal, x0, t_span, *args, **kwargs):
+        calls.append((len(x0), t_span))
+        return integrate(sys, input_signal, x0, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "integrate", counting)
+    return calls
+
+
+def test_sin_leg_makes_one_pair_call_per_window(monkeypatch):
+    calls = _record_integrate_calls(monkeypatch)
+    sys = build_system("example1")
+    rec = classify_response(sys, Sinusoid(), np.array(EXAMPLE_X0["example1"]),
+                            ss_horizon=20.0,
+                            lyapunov_opts={"transient": 10.0, "horizon": 60.0})
+    assert not rec.steady.converged
+    assert rec.lyapunov.renorm_count == 100
+    assert [size for size, _ in calls] == [2 * sys.dim] * 120
+    assert [span for _, span in calls] == [(0.5 * (k - 1), 0.5 * k)
+                                           for k in range(1, 121)]
+
+
+@pytest.mark.parametrize("name, ss_horizon, last_window_end",
+                         [("example1", 100.0, 100.0), ("fast decay", 12.34, 12.5)])
+def test_converged_leg_stops_after_the_window_holding_ss_horizon(
+        monkeypatch, name, ss_horizon, last_window_end):
+    if name == "fast decay":
+        sys, x0 = compose_autonomous(VectorField(1, lambda z: [-5.0 * v for v in z])), [5.0]
+    else:
+        sys, x0 = build_system(name), EXAMPLE_X0[name]
+    calls = _record_integrate_calls(monkeypatch)
+    rec = classify_response(sys, Constant(3.7), np.array(x0), ss_horizon=ss_horizon)
+    assert rec.verdict == VERDICT_STEADY_STATE
+    assert rec.lyapunov is None
+    assert calls[-1][1] == (last_window_end - 0.5, last_window_end)
+    assert len(calls) == round(last_window_end / 0.5)
+
+
+# At the default rel_tol of 1e-8, example1's early Lorenz transient leaves
+# either run about 3e-5 from a tight reference, so the two agree only that
+# far. At 1e-11 both are accurate to about 1e-7.
+TIGHT = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("signal, span", [(Constant(3.7), 200.0), (Constant(-8.0), 200.0),
+                                          (Sinusoid(), 10.0)])
+def test_steady_trajectory_is_the_solo_run_to_tolerance(name, signal, span):
+    # under sin t chaos separates the two runs after a while, so only the
+    # first 10 time units are compared there
+    sys, x0 = build_system(name), np.array(EXAMPLE_X0[name])
+    rec = classify_response(sys, signal, x0, TIGHT, ss_horizon=span,
+                            lyapunov_opts={"transient": 0.0, "horizon": 50.0})
+    grid = uniform_grid(0.0, span, 0.05)
+    solo = integrate(sys, signal, x0, (0.0, span), TIGHT, output_grid=grid)
+    assert np.array_equal(rec.trajectory.times, grid)
+    assert rec.trajectory.state_names == sys.state_names
+    assert np.max(np.abs(rec.trajectory.states - solo.states)) < 1e-6
+
+
+def _switch_at(t_switch, before):
+    """A 2-state system that follows ``before`` until t_switch, then blows up
+    in finite time (each component runs like tan)."""
+    def rhs(t, state, u):
+        return before(state) if t < t_switch else [v * v + 1.0 for v in state]
+    return ComposedSystem(rhs, ("a", "b"), z=(0, 1))
+
+
+def test_pair_divergence_after_ss_horizon_keeps_the_steady_verdict():
+    settles = _switch_at(30.0, lambda s: [-5.0 * v for v in s])
+    rec = classify_response(settles, U0, np.array([1.0, 2.0]), ss_horizon=20.0,
+                            always_lyapunov=True)
+    assert rec.verdict == VERDICT_STEADY_STATE
+    assert rec.steady.converged
+    assert rec.lyapunov is None
+    assert rec.trajectory.times[-1] == 20.0
+
+
+def test_pair_divergence_after_ss_horizon_of_a_moving_tail():
+    swings = _switch_at(30.0, lambda s: [s[1], -s[0]])
+    rec = classify_response(swings, U0, np.array([1.0, 0.0]), ss_horizon=20.0)
+    assert rec.verdict == VERDICT_DIVERGENCE
+    assert not rec.steady.converged
+    assert rec.lyapunov is None
+    assert rec.trajectory.times[-1] == 20.0
+
+
+def test_pair_divergence_before_ss_horizon_leaves_no_steady_report():
+    settles = _switch_at(5.0, lambda s: [-5.0 * v for v in s])
+    rec = classify_response(settles, U0, np.array([1.0, 2.0]), ss_horizon=20.0)
+    assert rec.verdict == VERDICT_DIVERGENCE
+    assert rec.steady is None and rec.trajectory is None and rec.lyapunov is None
+
+
 # ----------------------------------------------------------------- monte carlo
 
 def test_monte_carlo_rejects_empty_sweep():
     with pytest.raises(ValueError):
         monte_carlo("example2", 0)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            monte_carlo("example2", 1, jobs=jobs)
     with pytest.raises(KeyError):
         monte_carlo("no-such-scenario", 1)
 

@@ -445,11 +445,18 @@ def test_example_rhs_bitwise_under_float_and_numpy_inputs():
 
 
 def test_sinusoid_returns_python_float_of_numpy_sin():
-    sig = Sinusoid(amplitude=1.3, omega=2.1, phase=0.4)
-    for t in np.random.default_rng(7).uniform(-100.0, 100.0, 50):
-        u = sig(float(t))
-        assert type(u) is float
-        assert np.float64(u).tobytes() == (1.3 * np.sin(2.1 * t + 0.4)).tobytes()
+    # Sinusoid evaluates with math.sin; every golden trajectory bit under
+    # sin t was computed with numpy's scalar sin, so the two must agree
+    rng = np.random.default_rng(7)
+    times = np.concatenate([rng.uniform(0.0, 500.0, 50_000),
+                            rng.uniform(-1e4, 1e4, 50_000)])
+    for amplitude, omega, phase in ((1.0, 1.0, 0.0), (1.3, 2.1, 0.4)):
+        sig = Sinusoid(amplitude, omega, phase)
+        for t in times:
+            u = sig(float(t))
+            assert type(u) is float
+            expected = float(amplitude * np.sin(omega * t + phase))
+            assert np.float64(u).tobytes() == np.float64(expected).tobytes(), t
 
 
 # The float kernel against the numpy DOPRI5 step it replaced: same tableau,
