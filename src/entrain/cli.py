@@ -8,8 +8,9 @@ Subcommands:
 - ``freqresp``   tabulate the shared front-end filter's frequency response
 
 Exit codes: 0 success, 2 bad arguments, 3 integration failure (the message
-names the last time the integrator reached). ``--out-dir`` defaults to the
-``ENTRAIN_OUT_DIR`` environment variable, then the current directory.
+names the last time the integrator reached). ``simulate`` and ``montecarlo``
+write into ``--out-dir``, which defaults to the ``ENTRAIN_OUT_DIR``
+environment variable, then the current directory.
 
 Every ``simulate`` run drops a ``manifest.json`` holding all parameters and
 the tool version; ``run_from_manifest`` replays it and, the integrator
@@ -224,12 +225,13 @@ def _cmd_freqresp(args) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, out_dir: bool = True) -> None:
     defaults = IntegratorConfig()
     p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
     p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
-    p.add_argument("--out-dir", default=os.environ.get("ENTRAIN_OUT_DIR", "."),
-                   help="output directory (default: $ENTRAIN_OUT_DIR or .)")
+    if out_dir:
+        p.add_argument("--out-dir", default=os.environ.get("ENTRAIN_OUT_DIR", "."),
+                       help="output directory (default: $ENTRAIN_OUT_DIR or .)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     lya.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset); "
                           "not with --system")
-    _add_common_flags(lya)
+    _add_common_flags(lya, out_dir=False)
     lya.set_defaults(func=_cmd_lyapunov)
 
     mc = sub.add_parser("montecarlo", help="random input/IC sweep to JSONL")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,8 @@ _MIN_SPAN = 10.0
 _MIN_RENORM_EVENTS = 50
 # The trailing share of a run that the steady-state test and tail_stats see.
 _TAIL_FRACTION = 0.2
+# The steady-state test's relative bound on each component's tail variation.
+_STEADY_EPS = 1e-5
 # Step of the grid on which classify_response's steady-state test sees a run.
 _GRID_STEP = 0.05
 # A grid point this close to the end of a renormalization window is sampled
@@ -113,35 +115,44 @@ def _tail_mask(times: np.ndarray, fraction: float) -> tuple[np.ndarray, float, f
     return times >= start - 1e-12, start, float(times[-1])
 
 
-def detect_steady_state(
-    traj: Trajectory, tail_fraction: float = _TAIL_FRACTION, eps: float = 1e-5
-) -> SteadyStateReport:
+def _norm(v) -> float:
+    """Euclidean norm of the floats ``v``, their squares summed in index order.
+
+    Not numpy's norm, whose BLAS kernel picks its summation order by CPU,
+    nor ``sum()``, compensated since Python 3.12: the bits rest on IEEE
+    arithmetic alone, as the solver's error norm does.
+    """
+    s = 0.0
+    for x in v:
+        s += x * x
+    return math.sqrt(s)
+
+
+def detect_steady_state(traj: Trajectory) -> SteadyStateReport:
     """Decide whether ``traj`` has become asymptotically constant.
 
     Converged means every state component's (max - min) over the trailing
-    ``tail_fraction`` of the time span is at most eps * (1 + |component
-    mean|). The relative form keeps the verdict scale-free when inputs of
-    size 10 push equilibria far from the origin.
+    20 % of the time span is at most 1e-5 * (1 + |component mean|). The
+    relative form keeps the verdict scale-free when inputs of size 10 push
+    equilibria far from the origin.
     """
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
     span = traj.span()
     if span < _MIN_SPAN:
         raise ValueError(
             f"trajectory spans {span:.3g} time units; need at least {_MIN_SPAN:g} "
             "for a steady-state verdict"
         )
-    mask, t_lo, t_hi = _tail_mask(traj.times, tail_fraction)
+    mask, t_lo, t_hi = _tail_mask(traj.times, _TAIL_FRACTION)
     tail = traj.states[mask]
     if tail.shape[0] < 2:
         raise ValueError("tail window contains fewer than 2 samples")
 
     variation = tail.max(axis=0) - tail.min(axis=0)
     mean = tail.mean(axis=0)
-    converged = bool(np.all(variation <= eps * (1.0 + np.abs(mean))))
+    converged = bool(np.all(variation <= _STEADY_EPS * (1.0 + np.abs(mean))))
 
     dt = traj.times[-1] - traj.times[-2]
-    velocity = float(np.linalg.norm((traj.states[-1] - traj.states[-2]) / dt))
+    velocity = _norm(((traj.states[-1] - traj.states[-2]) / dt).tolist())
     return SteadyStateReport(
         converged=converged,
         tail_window=(t_lo, t_hi),
@@ -153,7 +164,7 @@ def detect_steady_state(
 
 def tail_stats(traj: Trajectory, variable: str) -> TailStats:
     """Mean/min/max of one named variable over the trailing 20 % of the run,
-    the window ``detect_steady_state`` uses by default."""
+    the window ``detect_steady_state`` uses."""
     col = traj.column(variable)  # KeyError for unknown names
     mask, t_lo, t_hi = _tail_mask(traj.times, _TAIL_FRACTION)
     vals = col[mask]
@@ -229,7 +240,7 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
                          output_grid=np.append(points, t_next))
         state = traj.final_state.copy()
         delta = state[n:] - state[:n]
-        d = float(np.linalg.norm(delta))
+        d = _norm(delta.tolist())
         yield d, traj.states[:hi - lo, :n]
         if d == 0.0:
             state[n:] = state[:n]
@@ -495,5 +506,5 @@ def monte_carlo(
     workers = min(jobs, n_samples)
     if workers <= 1:
         return [_mc_sample(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_mc_sample, tasks))

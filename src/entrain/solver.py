@@ -10,7 +10,9 @@ config produce bit-identical trajectories. The step runs on lists of Python
 floats and sums each stage's terms strictly left to right, as a per-term
 loop does, so a state component rounds the same way whatever else shares
 the state vector: two identical copies stacked by ``pair_system`` evolve
-bit for bit alike.
+bit for bit alike. The error norm is the same kind of ordered sum, over
+the components in index order, so a step's bits rest on IEEE arithmetic
+alone and not on numpy's or BLAS's summation order.
 
 Every RHS call gets the state as a list of Python floats and must return a
 new list of the same length (the ``ComposedSystem.rhs`` contract). The state
@@ -132,33 +134,6 @@ _H_MAX = 0.1
 _MAX_STEPS_PER_UNIT = 10_000
 
 
-def _sumsq(q: list[float]) -> float:
-    """Sum of the squares of ``q``, with the bits of ``np.add.reduce(q * q)``.
-
-    It replays numpy's pairwise float64 sum: a plain loop below 8 terms,
-    eight interleaved partial sums up to 128, and halves (cut at a multiple
-    of 8) above that.
-    """
-    n = len(q)
-    if n < 8:
-        s = 0.0
-        for v in q:
-            s += v * v
-        return s
-    if n <= 128:
-        m = n - n % 8
-        r = [v * v for v in q[:8]]
-        for i in range(8, m, 8):
-            r = [a + v * v for a, v in zip(r, q[i:i + 8])]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in q[m:]:
-            s += v * v
-        return s
-    half = n // 2
-    half -= half % 8
-    return _sumsq(q[:half]) + _sumsq(q[half:])
-
-
 def _hermite(t, t0: float, h: float, y0, y1, f0, f1) -> np.ndarray:
     """Cubic Hermite interpolant on [t0, t0+h]; exact at both endpoints.
 
@@ -271,8 +246,10 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
     the overhead of numpy calls. Each stage sums its terms left to right, skipping
     zero weights, and Python neither reorders nor fuses float operations, so
     every component rounds as the per-term loop ``acc += a[k] * K[k]`` does,
-    whatever the state's size. Each stage's list goes to ``f`` as it is, and
-    ``k0 = f(t0, y0)`` is the first stage. Only grid rows use numpy.
+    whatever the state's size. The error norm sums the squared scaled errors
+    ``s += q * q`` in component order, in the same loop that computes them.
+    Each stage's list goes to ``f`` as it is, and ``k0 = f(t0, y0)`` is the
+    first stage. Only grid rows use numpy.
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
@@ -339,11 +316,13 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
             finite = False
         if finite:
             abs_y_new = list(map(abs, y_new))
-            err = math.sqrt(_sumsq([
-                h_step * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
-                / (abs_tol + rel_tol * (a if a > b else b))
-                for a, b, p0, p2, p3, p4, p5, p6
-                in zip(abs_y, abs_y_new, k0, k2, k3, k4, k5, k6)]) / n)
+            s = 0.0
+            for a, b, p0, p2, p3, p4, p5, p6 in zip(abs_y, abs_y_new, k0, k2, k3,
+                                                    k4, k5, k6):
+                q = (h_step * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
+                     / (abs_tol + rel_tol * (a if a > b else b)))
+                s += q * q
+            err = math.sqrt(s / n)
         else:
             err = math.inf
 

@@ -153,8 +153,9 @@ def test_unknown_scenario_is_a_usage_error(tmp_path):
     ["lyapunov", "--scenario", "example1", "--method", "rk45_adaptive"],
     ["montecarlo", "--scenario", "example2", "--n", "1", "--method", "rk4_fixed"],
     ["freqresp", "--scenario", "example2"],
+    ["lyapunov", "--scenario", "example1", "--out-dir", "out"],
 ], ids=["simulate-method", "lyapunov-method", "montecarlo-method",
-        "freqresp-scenario"])
+        "freqresp-scenario", "lyapunov-out-dir"])
 def test_removed_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -174,8 +175,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                  "--t-end", "20", "--out-dir", out]) == 2
     assert main(["simulate", "--scenario", "example1", "--t-end", "-5",
                  "--out-dir", out]) == 2
-    assert main(["lyapunov", "--scenario", "example1", "--x0", "1,2,3",
-                 "--out-dir", out]) == 2
+    assert main(["lyapunov", "--scenario", "example1", "--x0", "1,2,3"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 6
     assert "error: jobs must be at least 1, got -3\n" in err
@@ -185,16 +185,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     # --scenario and --system exclude each other, and one of them is needed
     for target in ([], ["--scenario", "example1", "--system", "lorenz"]):
         with pytest.raises(SystemExit) as exc:
-            main(["lyapunov", *target, "--input", "const:3", "--out-dir", out])
+            main(["lyapunov", *target, "--input", "const:3"])
         assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("arg", ["--input=const:nan", "--input=sin:inf:1",
                                  "--input=sin:1:inf", "--x0=nan,0,1,0,0",
                                  "--rel-tol=inf", "--rel-tol=nan", "--abs-tol=inf"])
-def test_nonfinite_arguments_exit_2(arg, tmp_path, capsys):
-    assert main(["lyapunov", "--scenario", "example1", arg,
-                 "--out-dir", str(tmp_path)]) == 2
+def test_nonfinite_arguments_exit_2(arg, capsys):
+    assert main(["lyapunov", "--scenario", "example1", arg]) == 2
     assert "must be finite" in capsys.readouterr().err
 
 
@@ -320,6 +319,14 @@ def test_python_dash_m_entrain():
     check_freqresp_and_version(lambda *args: run_python("-m", "entrain", *args))
     proc = run_python("-m", "entrain", "--version")
     assert proc.stderr == ""
+
+
+def test_import_loads_no_process_pool():
+    # monte_carlo reaches the pool through concurrent.futures, which loads
+    # its process module (and multiprocessing) only when a pool starts
+    proc = run_python("-c", "import sys, entrain; print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(shutil.which("entrain") is None,

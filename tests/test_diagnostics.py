@@ -79,25 +79,6 @@ def test_short_trajectory_rejected():
         detect_steady_state(make_traj(times, np.zeros((100, 1)), ("a",)))
 
 
-def test_tail_fraction_validated():
-    times = np.linspace(0.0, 50.0, 100)
-    traj = make_traj(times, np.zeros((100, 1)), ("a",))
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            detect_steady_state(traj, tail_fraction=bad)
-
-
-def test_shrinking_tail_window_never_increases_variation():
-    sys = compose_example1()
-    grid = np.arange(0.0, 100.0 + 0.005, 0.05)
-    traj = integrate(sys, Constant(10.0), np.array([5.0, 0.0, 1.0, 0.0, 0.0]),
-                     (0.0, 100.0), output_grid=grid)
-    wide = detect_steady_state(traj, tail_fraction=0.2)
-    narrow = detect_steady_state(traj, tail_fraction=0.1)
-    assert wide.converged
-    assert narrow.max_component_variation <= wide.max_component_variation
-
-
 # ------------------------------------------------------------------ tail stats
 
 def test_tail_stats_of_known_signal():
@@ -130,6 +111,15 @@ def test_constant_input_drives_p_to_zero():
 
 
 # -------------------------------------------------------------------- lyapunov
+
+def test_lyapunov_max_bits_are_pinned():
+    # The step, the error norm and the pair's separation sum in index order
+    # on Python floats, so lambda rests only on IEEE arithmetic and libm's
+    # sin and log: no numpy blocking or BLAS kernel choice can move a bit.
+    est = lyapunov_max(build_system("example1"), Sinusoid(), [5.0, 0.0, 1.0, 0.0, 0.0],
+                       transient=10.0, horizon=60.0)
+    assert est.lambda_max.hex() == "0x1.53a982f24ef40p-2"  # 0.33170132259305163
+
 
 def test_lyapunov_of_linear_decay_is_minus_one():
     est = lyapunov_max(DECAY, U0, np.array([1.0]))
@@ -498,7 +488,7 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(diagnostics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(diagnostics.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(diagnostics, "_mc_sample", lambda task: task[0])
     assert monte_carlo("example2", 2, jobs=64) == [0, 1]
     assert pools == [2]
