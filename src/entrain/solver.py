@@ -1,9 +1,9 @@
 """Trajectory integration with controlled accuracy.
 
 An adaptive Dormand-Prince 4(5) embedded pair keeps the local error per step
-below rel_tol * |state| + abs_tol. Output is sampled onto a caller-supplied
-grid by interpolating the internal steps with a cubic Hermite (locally
-4th-order accurate).
+below rel_tol * |state| + abs_tol. Grid output interpolates the internal
+steps with a cubic Hermite (locally 4th-order accurate); dense output is the
+internal steps themselves.
 
 Everything here is deterministic: same system, input, initial state and
 config produce bit-identical trajectories. The step runs on lists of Python
@@ -11,13 +11,14 @@ floats and sums each stage's terms strictly left to right, as a per-term
 loop does, so a state component rounds the same way whatever else shares
 the state vector: two identical copies stacked by ``pair_system`` evolve
 bit for bit alike. The error norm is the same kind of ordered sum, over
-the components in index order, so a step's bits rest on IEEE arithmetic
-alone and not on numpy's or BLAS's summation order.
+the components in index order, so a step's bits rest on IEEE arithmetic and
+libm's ``pow`` (the controller's ``err ** -0.2``), not on numpy's or BLAS's
+summation order.
 
 Every RHS call gets the state as a list of Python floats and must return a
-new list of the same length (the ``ComposedSystem.rhs`` contract). The state
-and the stages keep that format from step to step, so numpy appears only in
-the output arrays: the grid rows and the returned ``Trajectory``.
+new list of the same length (the ``ComposedSystem.rhs`` contract). The
+state, the stages and the grid rows are all computed on Python floats;
+numpy holds only the grid and the output arrays.
 """
 
 from __future__ import annotations
@@ -134,20 +135,6 @@ _H_MAX = 0.1
 _MAX_STEPS_PER_UNIT = 10_000
 
 
-def _hermite(t, t0: float, h: float, y0, y1, f0, f1) -> np.ndarray:
-    """Cubic Hermite interpolant on [t0, t0+h]; exact at both endpoints.
-
-    ``t`` is a column of times; the result has one row per time.
-    """
-    th = (t - t0) / h
-    th2 = th * th
-    th3 = th2 * th
-    return ((2 * th3 - 3 * th2 + 1) * y0
-            + (th3 - 2 * th2 + th) * h * f0
-            + (-2 * th3 + 3 * th2) * y1
-            + (th3 - th2) * h * f1)
-
-
 def check_initial_state(x0, dim: int) -> np.ndarray:
     """``x0`` as a float array, after checking that it holds ``dim`` finite values."""
     x0 = np.asarray(x0, dtype=float)
@@ -210,29 +197,22 @@ def integrate(
     else:
         grid = None
 
-    def f(t: float, y: list[float]) -> list[float]:
-        return sys.rhs(t, y, input_signal(t))
-
-    # The runner rejects or raises on non-finite values itself, so numpy's
-    # element-wise warnings (say, from a rejected trial step) are only noise.
+    # The kernel rejects or raises on non-finite values itself; a user RHS
+    # may still compute with numpy inside, as ``(A @ z).tolist()`` does, and
+    # its element-wise warnings (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        y0 = x0.tolist()
-        try:
-            k0 = f(t0, y0)
-        except ArithmeticError as exc:
-            raise DivergenceError(f"derivative at initial state raised {exc!r}",
-                                  last_good_time=t0) from exc
-        if len(k0) != len(y0):  # zip would drop, numpy would broadcast
-            raise ValueError(f"the right-hand side returned a vector of length "
-                             f"{len(k0)} for a state of length {len(y0)}")
-        times, states = _run_dp45(f, y0, k0, t0, t_end, cfg, grid)
+        times, states = _run_dp45(sys.rhs, input_signal, x0.tolist(), t0, t_end,
+                                  cfg, grid)
     return Trajectory(times, states, sys.state_names)
 
 
-def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
+def _run_dp45(rhs, u, y0, t0, t_end, cfg, grid):
     """Dormand-Prince 4(5) with step control on the RMS of the scaled error.
 
-    A trial step with a non-finite stage or result, or whose right-hand side
+    Every stage, the first included, is one call ``rhs(t, y, u(t))``. An
+    initial derivative that raises ``ArithmeticError`` or is non-finite is a
+    ``DivergenceError``; one of the wrong length is a ``ValueError``. A later
+    trial step with a non-finite stage or result, or whose right-hand side
     raised ``ArithmeticError`` (Python's ``**`` raises ``OverflowError``
     where numpy returned inf), is rejected like one with an infinite error,
     so ``h`` shrinks by ``_MIN_FACTOR``; only when that drives ``h`` below
@@ -248,8 +228,10 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
     every component rounds as the per-term loop ``acc += a[k] * K[k]`` does,
     whatever the state's size. The error norm sums the squared scaled errors
     ``s += q * q`` in component order, in the same loop that computes them.
-    Each stage's list goes to ``f`` as it is, and ``k0 = f(t0, y0)`` is the
-    first stage. Only grid rows use numpy.
+
+    Each grid row is the cubic Hermite interpolant of its step, computed on
+    floats and written into the preallocated ``rows``; no numpy call runs
+    inside the step loop.
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
@@ -263,10 +245,18 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
     t, y = t0, y0
     dense_t, dense_y = [t], [y]
     gi = 0
-    if grid is not None and grid[0] == t0:
+    if rows is not None and grid[0] == t0:
         rows[0] = y
         gi = 1
 
+    try:
+        k0 = rhs(t0, y0, u(t0))
+    except ArithmeticError as exc:
+        raise DivergenceError(f"derivative at initial state raised {exc!r}",
+                              last_good_time=t0) from exc
+    if len(k0) != n:  # zip would drop, numpy would broadcast
+        raise ValueError(f"the right-hand side returned a vector of length "
+                         f"{len(k0)} for a state of length {n}")
     if not all(map(isfinite, k0)):
         raise DivergenceError("derivative non-finite at initial state",
                               last_good_time=t0)
@@ -292,25 +282,28 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
         h_step = min(h, t_end - t)
 
         try:
-            k1 = f(t + c1 * h_step,
-                   [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)])
-            k2 = f(t + c2 * h_step,
-                   [y_ + h_step * (a20 * p0 + a21 * p1)
-                    for y_, p0, p1 in zip(y, k0, k1)])
-            k3 = f(t + c3 * h_step,
-                   [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
-                    for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
-            k4 = f(t + c4 * h_step,
-                   [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-                    for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
-            k5 = f(t + c5 * h_step,
-                   [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                    for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
+            ts = t + c1 * h_step
+            k1 = rhs(ts, [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)], u(ts))
+            ts = t + c2 * h_step
+            k2 = rhs(ts, [y_ + h_step * (a20 * p0 + a21 * p1)
+                          for y_, p0, p1 in zip(y, k0, k1)], u(ts))
+            ts = t + c3 * h_step
+            k3 = rhs(ts, [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
+                          for y_, p0, p1, p2 in zip(y, k0, k1, k2)], u(ts))
+            ts = t + c4 * h_step
+            k4 = rhs(ts, [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+                          for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)], u(ts))
+            ts = t + c5 * h_step
+            k5 = rhs(ts, [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3
+                                         + a54 * p4)
+                          for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)],
+                     u(ts))
             # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight
             # on the 7th stage, so the 7th stage runs at the new state.
             y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
                      for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-            k6 = f(t + c6 * h_step, y_new)
+            ts = t + c6 * h_step
+            k6 = rhs(ts, y_new, u(ts))
             finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
         except ArithmeticError:
             finite = False
@@ -328,17 +321,25 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
 
         if err <= 1.0:  # accept
             t_new = t + h_step
-            if grid is not None:
-                bound = t_new + 1e-14 * max(1.0, abs(t_new))
-                if gi < grid.size and grid[gi] <= bound:
-                    g_end = np.searchsorted(grid, bound, side="right")
-                    rows[gi:g_end] = _hermite(
-                        np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
-                        np.array(y), np.array(y_new), np.array(k0), np.array(k6))
-                    gi = g_end
-            else:
+            if rows is None:
                 dense_t.append(t_new)
                 dense_y.append(y_new)
+            else:
+                bound = t_new + 1e-14 * max(1.0, abs(t_new))
+                while gi < grid.size:
+                    tg = grid.item(gi)
+                    if tg > bound:
+                        break
+                    th = (min(tg, t_new) - t) / h_step
+                    th2 = th * th
+                    th3 = th2 * th
+                    w0 = 2 * th3 - 3 * th2 + 1
+                    w1 = (th3 - 2 * th2 + th) * h_step
+                    w2 = -2 * th3 + 3 * th2
+                    w3 = (th3 - th2) * h_step
+                    rows[gi] = [w0 * a + w1 * b + w2 * c + w3 * d
+                                for a, b, c, d in zip(y, k0, y_new, k6)]
+                    gi += 1
             t, y, abs_y, k0 = t_new, y_new, abs_y_new, k6
             # 0.0 ** -0.2 raises in Python
             factor = _MAX_FACTOR if err == 0.0 else min(
@@ -347,11 +348,9 @@ def _run_dp45(f, y0, k0, t0, t_end, cfg, grid):
             factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
         h = min(_H_MAX, h_step * factor)
 
-    if grid is None:
+    if rows is None:
         return np.array(dense_t), np.array(dense_y)
-    while gi < grid.size:  # grid points at (or within rounding of) t_end
-        rows[gi] = y
-        gi += 1
+    rows[gi:] = y  # grid points at (or within rounding of) t_end
     return grid.copy(), rows
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -71,6 +72,19 @@ def test_repeat_runs_and_manifest_replay_are_byte_identical(tmp_path):
     run_from_manifest(d1 / "manifest.json", out_dir=d3)
     assert read(d1 / "trajectory.csv") == read(d3 / "trajectory.csv")
     assert read(d1 / "report.json") == read(d3 / "report.json")
+
+
+def test_gridded_simulate_csv_bytes_are_pinned(tmp_path):
+    # Once the constant input settles, most steps sit at the largest step
+    # size and fill several 0.01 grid rows each, so nearly every row of this
+    # CSV is interpolated; its bytes pin the grid rows across platforms.
+    assert main(["simulate", "--scenario", "example1", "--input", "const:3.3",
+                 "--t-end", "50", "--grid-step", "0.01",
+                 "--out-dir", str(tmp_path)]) == 0
+    csv = read(tmp_path / "trajectory.csv")
+    assert len(csv) == 584_480
+    assert hashlib.sha256(csv).hexdigest() == (
+        "b57dab5d76302f5d8525fec9a03c4efeb45ee7d6a735987c90cd770adf4f9076")
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):

@@ -115,7 +115,8 @@ def test_constant_input_drives_p_to_zero():
 def test_lyapunov_max_bits_are_pinned():
     # The step, the error norm and the pair's separation sum in index order
     # on Python floats, so lambda rests only on IEEE arithmetic and libm's
-    # sin and log: no numpy blocking or BLAS kernel choice can move a bit.
+    # sin, log and pow (the step controller's err ** -0.2 is a C pow() call):
+    # no numpy blocking or BLAS kernel choice can move a bit.
     est = lyapunov_max(build_system("example1"), Sinusoid(), [5.0, 0.0, 1.0, 0.0, 0.0],
                        transient=10.0, horizon=60.0)
     assert est.lambda_max.hex() == "0x1.53a982f24ef40p-2"  # 0.33170132259305163

@@ -30,7 +30,6 @@ from entrain.solver import (
     IntegratorConfig,
     StepBudgetError,
     StiffnessError,
-    _hermite,
     integrate,
     pair_system,
     uniform_grid,
@@ -83,12 +82,29 @@ def test_example1_constant_input_settles():
     assert tail.max() - tail.min() < 1e-6
 
 
+@pytest.mark.parametrize("u", [10.0, -3.0, 0.5, -7.25])
+def test_example1_constant_leg_matches_closed_form(u):
+    # Under a constant u, y = x + u = (x0 + u) e^-t, so p' = -p + y^2/(K + y^2)
+    # integrates to p0 + ln(1 + (x0 + u)^2 / K) / 2 over [0, inf). z's field
+    # is p times Lorenz's, so z ends where the bare Lorenz flow from z0 is
+    # after that much time; past t = 60 less than 1e-24 of it remains.
+    x0, K = EXAMPLE_X0, 0.1
+    tau = x0[1] + 0.5 * math.log1p((x0[0] + u) ** 2 / K)
+    for cfg, bound in ((IntegratorConfig(), 5e-8),
+                       (IntegratorConfig(rel_tol=1e-12), 5e-11)):
+        z = integrate(compose_example1(K), Constant(u), x0, (0.0, 60.0), cfg,
+                      output_grid=np.array([60.0])).final_state[2:]
+        flow = integrate(LORENZ, U0, x0[2:], (0.0, tau), cfg,
+                         output_grid=np.array([tau])).final_state
+        assert np.linalg.norm(z - flow) / np.linalg.norm(flow) < bound
+
+
 def test_zero_span_returns_single_row():
     for grid in (None, np.array([0.0])):
         traj = integrate(DECAY, U0, np.array([2.0]), (0.0, 0.0), output_grid=grid)
         assert traj.times.tolist() == [0.0]
         assert traj.states.tolist() == [[2.0]]
-    # f(t0, x0) is evaluated on a zero span too
+    # the initial derivative is evaluated on a zero span too
     bad = compose_autonomous(VectorField(1, lambda z: [math.inf]))
     with pytest.raises(DivergenceError):
         integrate(bad, U0, np.array([2.0]), (0.0, 0.0))
@@ -324,8 +340,7 @@ def test_trajectory_column_accessor():
         traj.column("bogus")
 
 
-# The step's stage sums, error norm and column Hermite call must give the
-# same bits as the plain per-term loop, np.mean and per-point calls.
+# The step's stage sums must give the same bits as the plain per-term loop.
 
 
 def _combine_loop(coeffs, K, n_terms):
@@ -335,16 +350,6 @@ def _combine_loop(coeffs, K, n_terms):
         if c != 0.0:
             acc += c * K[k]
     return acc
-
-
-def _hermite_point(t, t0, h, y0, y1, f0, f1):
-    th = (t - t0) / h
-    th2 = th * th
-    th3 = th2 * th
-    return ((2 * th3 - 3 * th2 + 1) * y0
-            + (th3 - 2 * th2 + th) * h * f0
-            + (-2 * th3 + 3 * th2) * y1
-            + (th3 - th2) * h * f1)
 
 
 def _random_stages(rng, dim, stages=7):
@@ -383,16 +388,6 @@ def test_combine_matches_loop_bitwise(dim, monkeypatch):
             assert inputs[i].tobytes() == (x0 + h * _combine_loop(_DP_A[i], K, i)).tobytes()
         # first-same-as-last: the last stage's input is the 5th-order result
         assert inputs[6].tobytes() == (x0 + h * _combine_loop(_DP_B5, K, 7)).tobytes()
-
-
-def test_hermite_on_a_column_matches_per_point_calls_bitwise():
-    rng = np.random.default_rng(5)
-    for dim in (1, 5, 10):
-        y0, y1, f0, f1 = _random_stages(rng, dim)[:4]
-        t0, h = 3.7, 0.0913
-        ts = np.sort(rng.uniform(t0, t0 + h, 9))
-        ref = np.array([_hermite_point(t, t0, h, y0, y1, f0, f1) for t in ts])
-        assert _hermite(ts[:, None], t0, h, y0, y1, f0, f1).tobytes() == ref.tobytes()
 
 
 def _example_reference(which, K, state, u):
@@ -450,8 +445,9 @@ def test_sinusoid_returns_python_float_of_numpy_sin():
 
 # The float kernel against the numpy DOPRI5 step it replaced: same tableau,
 # same controller, and every sum, the stage sums and the error norm's, by
-# np.add.accumulate, which adds in index order at any length. Every time and
-# state must match bit for bit.
+# np.add.accumulate, which adds in index order at any length. Grid rows come
+# from a cubic Hermite on a column of times, one numpy operation per term.
+# Every time and state must match bit for bit.
 
 def _ref_terms(coeffs):
     idx = np.flatnonzero(coeffs)
@@ -471,6 +467,17 @@ def _ref_combine(terms, K):
 
 def _ref_error_norm(q):
     return math.sqrt(np.add.accumulate(q * q)[-1] / q.size)
+
+
+def _ref_hermite(t, t0, h, y0, y1, f0, f1):
+    """Cubic Hermite on [t0, t0+h] at a column of times, one row per time."""
+    th = (t - t0) / h
+    th2 = th * th
+    th3 = th2 * th
+    return ((2 * th3 - 3 * th2 + 1) * y0
+            + (th3 - 2 * th2 + th) * h * f0
+            + (-2 * th3 + 3 * th2) * y1
+            + (th3 - th2) * h * f1)
 
 
 def _ref_dp45(f, x0, t0, t_end, cfg, grid):
@@ -520,7 +527,7 @@ def _ref_dp45(f, x0, t0, t_end, cfg, grid):
                 bound = t_new + 1e-14 * max(1.0, abs(t_new))
                 if gi < grid.size and grid[gi] <= bound:
                     g_end = np.searchsorted(grid, bound, side="right")
-                    rows[gi:g_end] = _hermite(
+                    rows[gi:g_end] = _ref_hermite(
                         np.minimum(grid[gi:g_end], t_new)[:, None], t, h_step,
                         y, y_new, K[0], K[6])
                     gi = g_end
@@ -596,6 +603,8 @@ def _edge_grid(t_end):
 GRIDS = {
     "dense": lambda t_end: None,
     "grid": lambda t_end: np.arange(0.0, t_end, 0.05),
+    # finer than the largest step, so one step fills several rows
+    "fine-grid": lambda t_end: np.arange(0.0, t_end, 0.01),
     "edge-grid": _edge_grid,
 }
 
