@@ -70,7 +70,8 @@ class VectorField:
 
     ``rhs(z)`` takes z as a list of ``dim`` Python floats, which it must not
     change, and returns f(z) as a new list of ``dim`` floats. It must be a
-    list, not an array: ``pair_system`` joins two results with ``+``.
+    list, not an array: the Lyapunov pair in ``diagnostics`` joins two
+    results with ``+``.
     """
 
     dim: int

@@ -7,10 +7,11 @@ Subcommands:
 - ``montecarlo`` seeded sweep over random inputs/ICs, write verdicts JSONL
 - ``freqresp``   tabulate the shared front-end filter's frequency response
 
-Exit codes: 0 success, 2 bad arguments, 3 integration failure (the message
-names the last time the integrator reached). ``simulate`` and ``montecarlo``
-write into ``--out-dir``, which defaults to the ``ENTRAIN_OUT_DIR``
-environment variable, then the current directory.
+Exit codes: 0 success, 2 bad arguments or a run too large for memory (such
+as a ``--grid-step`` too fine for the span), 3 integration failure (the
+message names the last time the integrator reached). ``simulate`` and
+``montecarlo`` write into ``--out-dir``, which defaults to the
+``ENTRAIN_OUT_DIR`` environment variable, then the current directory.
 
 Every ``simulate`` run drops a ``manifest.json`` holding all parameters and
 the tool version; ``run_from_manifest`` replays it and, the integrator
@@ -294,8 +295,8 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

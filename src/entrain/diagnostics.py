@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import scenarios
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
 from .solver import (IntegrationError, IntegratorConfig, Trajectory, check_initial_state,
-                     integrate, pair_system, uniform_grid)
+                     integrate, uniform_grid)
 
 __all__ = [
     "SteadyStateReport",
@@ -211,21 +212,36 @@ def _renorm_windows(sys: ComposedSystem, transient: float = _TRANSIENT,
     return transient, renorm_dt, counted
 
 
+def _stacked_pair(sys: ComposedSystem) -> ComposedSystem:
+    """Two copies of ``sys`` stacked in one state and driven by one input.
+
+    Both copies advance jointly (error control sees the stacked state), so
+    adaptive step choices are common to the pair.
+    """
+    n = sys.dim
+
+    def rhs(t: float, state: list[float], u: float) -> list[float]:
+        return sys.rhs(t, state[:n], u) + sys.rhs(t, state[n:], u)
+
+    return ComposedSystem(rhs, tuple(f"{h}{i}" for h in "ab" for i in range(n)))
+
+
 def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
     """Run x0 and a copy perturbed by _D0 in its first z-component as one
     pair, in windows ((k - 1) renorm_dt, k renorm_dt] for k = 1, 2, ...
 
-    After each window this yields the separation d of the copies at its end
-    and the reference half at the points of ``grid`` inside the window, then
-    pulls the copy back to distance _D0 along the separation (onto the
-    reference when d is 0). A grid point within _SNAP of a window's end is
-    sampled at that end. The grid rides on the window's own ``integrate``
-    call, and grid output does not steer step control, so d does not depend
-    on ``grid``.
+    After each window this yields the log growth log(d / _D0) of the copies'
+    separation d at its end, None when d is exactly 0, and the reference
+    half at the points of ``grid`` inside the window. It then pulls the
+    copy back to distance _D0 along the separation (onto the reference when
+    d is 0). A grid point within _SNAP of a window's end is sampled at that
+    end. The grid rides on the window's own ``integrate`` call, and grid
+    output does not steer step control, so the growth does not depend on
+    ``grid``.
     """
     x0 = check_initial_state(x0, sys.dim)
     n = sys.dim
-    joint = pair_system(sys)
+    joint = _stacked_pair(sys)
 
     state = np.concatenate([x0, x0])
     state[n + sys.z[0]] += _D0
@@ -241,7 +257,8 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
         state = traj.final_state.copy()
         delta = state[n:] - state[:n]
         d = _norm(delta.tolist())
-        yield d, traj.states[:hi - lo, :n]
+        growth = None if d == 0.0 else math.log(d / _D0)
+        yield growth, traj.states[:hi - lo, :n]
         if d == 0.0:
             state[n:] = state[:n]
         else:
@@ -287,13 +304,13 @@ def lyapunov_max(
                                                     renorm_dt)
     log_sum = 0.0
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt)
-    for k, (d, _) in enumerate(windows, 1):
-        if d == 0.0:
+    for k, (growth, _) in enumerate(windows, 1):
+        if growth is None:
             raise ValueError(
                 "perturbation collapsed to exactly zero; cannot renormalize"
             )
         if k in counted:
-            log_sum += math.log(d / _D0)
+            log_sum += growth
         if k == counted[-1]:
             break
     return _estimate(log_sum, transient, renorm_dt, counted)
@@ -360,11 +377,11 @@ def classify_response(
     log_sum, measured = 0.0, True
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid)
     try:
-        for k, (d, rows) in enumerate(windows, 1):
-            if d == 0.0 and k <= counted[-1]:
+        for k, (growth, rows) in enumerate(windows, 1):
+            if growth is None and k <= counted[-1]:
                 measured = False
             elif k in counted:
-                log_sum += math.log(d / _D0)
+                log_sum += growth
             parts.append(rows)
             filled += len(rows)
             if steady is None and filled == grid.size:
@@ -444,10 +461,7 @@ def _leg(sys, input_signal, x0, cfg):
 
 def _mc_sample(task) -> MonteCarloRow:
     sample, scenario, u0, x0, cfg = task
-    # imported at call time, so forked pool workers see a patched build_system
-    from .scenarios import build_system
-
-    sys = build_system(scenario)
+    sys = scenarios.build_system(scenario)
     v_const, lam_const, p_const, final_const = _leg(sys, Constant(u0), x0, cfg)
     v_sin, lam_sin, p_sin, _ = _leg(sys, Sinusoid(), x0, cfg)
     return MonteCarloRow(
@@ -488,10 +502,7 @@ def monte_carlo(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     lo, hi = _SAMPLE_RANGE
-
-    from .scenarios import build_system
-
-    names = build_system(scenario).state_names
+    names = scenarios.build_system(scenario).state_names
     p = names.index("p")
     children = np.random.SeedSequence(seed).spawn(n_samples)
     tasks = []

@@ -9,11 +9,11 @@ Everything here is deterministic: same system, input, initial state and
 config produce bit-identical trajectories. The step runs on lists of Python
 floats and sums each stage's terms strictly left to right, as a per-term
 loop does, so a state component rounds the same way whatever else shares
-the state vector: two identical copies stacked by ``pair_system`` evolve
-bit for bit alike. The error norm is the same kind of ordered sum, over
-the components in index order, so a step's bits rest on IEEE arithmetic and
-libm's ``pow`` (the controller's ``err ** -0.2``), not on numpy's or BLAS's
-summation order.
+the state vector: the two identical copies of the Lyapunov pair in
+``diagnostics`` evolve bit for bit alike. The error norm is the same kind
+of ordered sum, over the components in index order, so a step's bits rest
+on IEEE arithmetic and libm's ``pow`` (the controller's ``err ** -0.2``),
+not on numpy's or BLAS's summation order.
 
 Every RHS call gets the state as a list of Python floats and must return a
 new list of the same length (the ``ComposedSystem.rhs`` contract). The
@@ -39,7 +39,6 @@ __all__ = [
     "DivergenceError",
     "StepBudgetError",
     "integrate",
-    "pair_system",
 ]
 
 
@@ -352,19 +351,3 @@ def _run_dp45(rhs, u, y0, t0, t_end, cfg, grid):
         return np.array(dense_t), np.array(dense_y)
     rows[gi:] = y  # grid points at (or within rounding of) t_end
     return grid.copy(), rows
-
-
-def pair_system(sys: ComposedSystem) -> ComposedSystem:
-    """Two copies of ``sys`` stacked in one state and driven by one input.
-
-    Both copies advance jointly (error control sees the stacked state), so
-    adaptive step choices are common to the pair; this is what the
-    two-trajectory Lyapunov estimator needs.
-    """
-    n = sys.dim
-
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        return sys.rhs(t, state[:n], u) + sys.rhs(t, state[n:], u)
-
-    return ComposedSystem(
-        rhs, tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)))

@@ -220,6 +220,22 @@ def test_divergence_exits_3_and_names_last_good_time(tmp_path, capsys):
     assert "last good time" in err
 
 
+def test_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # The grid builder is stubbed: a real 36 TiB request may be granted by a
+    # host that overcommits memory, and then fill its RAM.
+    numpy_msg = ("Unable to allocate 36.4 TiB for an array with shape "
+                 "(5000000000001,) and data type float64")
+    for msg, line in ((numpy_msg, numpy_msg), ("", "MemoryError")):
+        def oversized(t0, t1, step, msg=msg):
+            raise MemoryError(msg)
+
+        monkeypatch.setattr(cli, "uniform_grid", oversized)
+        assert main(["simulate", "--scenario", "example1", "--t-end", "5",
+                     "--grid-step", "1e-12", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_freqresp_reports_zero_at_origin(capsys):
     assert main(["freqresp"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from entrain import diagnostics
+from entrain import diagnostics, scenarios
 from entrain.blocks import (
     ComposedSystem,
     VectorField,
@@ -496,6 +496,27 @@ def test_monte_carlo_starts_no_more_workers_than_samples(monkeypatch):
     assert monte_carlo("example2", 1, jobs=64) == [0]  # serial: no pool
     assert monte_carlo("example2", 3, jobs=1) == [0, 1, 2]
     assert pools == [2]
+
+
+def test_monte_carlo_builds_every_system_through_scenarios(monkeypatch):
+    # a patched scenarios.build_system (as a tracer installs) is what the
+    # sweep uses, for the state names and for each sample's legs
+    built, legs = [], []
+
+    def build(name, **kwargs):
+        built.append(build_system(name, **kwargs))
+        return built[-1]
+
+    def classify(sys, input_signal, x0, cfg, **kwargs):
+        legs.append(sys)
+        return diagnostics.VerdictRecord(VERDICT_INCONCLUSIVE, None, None, None)
+
+    monkeypatch.setattr(scenarios, "build_system", build)
+    monkeypatch.setattr(diagnostics, "classify_response", classify)
+    rows = monte_carlo("example2", 3, jobs=1)
+    assert [r.verdict_sin for r in rows] == [VERDICT_INCONCLUSIVE] * 3
+    assert len(built) == 4  # the state names, then one per sample
+    assert legs == [sys for sys in built[1:] for _ in range(2)]
 
 
 def test_monte_carlo_maps_p0_into_the_unit_interval(monkeypatch):

@@ -16,6 +16,7 @@ from entrain.blocks import (
     compose_example2,
     lorenz_field,
 )
+from entrain.diagnostics import _stacked_pair
 from entrain.lti import LtiSystem
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import (
@@ -31,7 +32,6 @@ from entrain.solver import (
     StepBudgetError,
     StiffnessError,
     integrate,
-    pair_system,
     uniform_grid,
 )
 
@@ -47,6 +47,8 @@ LORENZ = compose_autonomous(
 CUBIC = compose_autonomous(VectorField(1, lambda z: [-(v * v * v) for v in z]))
 BLOWUP = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]))
 U0 = Constant(0.0)
+# W(s) = s / ((s + 1)(s + 2)), as in test_blocks
+TWO_STATE_FILTER = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[0.0, 1.0], D=0.0)
 
 
 def test_config_validation():
@@ -82,21 +84,44 @@ def test_example1_constant_input_settles():
     assert tail.max() - tail.min() < 1e-6
 
 
-@pytest.mark.parametrize("u", [10.0, -3.0, 0.5, -7.25])
-def test_example1_constant_leg_matches_closed_form(u):
-    # Under a constant u, y = x + u = (x0 + u) e^-t, so p' = -p + y^2/(K + y^2)
-    # integrates to p0 + ln(1 + (x0 + u)^2 / K) / 2 over [0, inf). z's field
-    # is p times Lorenz's, so z ends where the bare Lorenz flow from z0 is
-    # after that much time; past t = 60 less than 1e-24 of it remains.
-    x0, K = EXAMPLE_X0, 0.1
-    tau = x0[1] + 0.5 * math.log1p((x0[0] + u) ** 2 / K)
+def _assert_constant_leg_ends_on_lorenz_flow(sys, x0, u, tau):
+    # z's field is p times Lorenz's, so under a constant u z ends where the
+    # bare Lorenz flow from z0 is after tau, the integral of p over [0, inf);
+    # past t = 60 less than 1e-24 of it remains.
     for cfg, bound in ((IntegratorConfig(), 5e-8),
                        (IntegratorConfig(rel_tol=1e-12), 5e-11)):
-        z = integrate(compose_example1(K), Constant(u), x0, (0.0, 60.0), cfg,
-                      output_grid=np.array([60.0])).final_state[2:]
-        flow = integrate(LORENZ, U0, x0[2:], (0.0, tau), cfg,
+        z = integrate(sys, Constant(u), x0, (0.0, 60.0), cfg,
+                      output_grid=np.array([60.0])).final_state[-3:]
+        flow = integrate(LORENZ, U0, x0[-3:], (0.0, tau), cfg,
                          output_grid=np.array([tau])).final_state
         assert np.linalg.norm(z - flow) / np.linalg.norm(flow) < bound
+
+
+@pytest.mark.parametrize("u", [10.0, -3.0, 0.5, -7.25])
+def test_example1_constant_leg_matches_closed_form(u):
+    # y = x + u = (x0 + u) e^-t, so p' = -p + y^2/(K + y^2) integrates to
+    # p0 + ln(1 + (x0 + u)^2 / K) / 2 over [0, inf)
+    x0, K = EXAMPLE_X0, 0.1
+    tau = x0[1] + 0.5 * math.log1p((x0[0] + u) ** 2 / K)
+    _assert_constant_leg_ends_on_lorenz_flow(compose_example1(K), x0, u, tau)
+
+
+@pytest.mark.parametrize("u", [10.0, -3.0, 0.5])
+def test_two_state_filter_constant_leg_matches_closed_form(u):
+    # The filter's state relaxes to x_inf = -A^-1 B u, and W(0) = 0 makes
+    # y = C e^{At} (x0 - x_inf); tau = p0 + the integral of y^2/(K + y^2).
+    # e^{At} comes from the eigendecomposition of A, the integral from
+    # 8-point Gauss-Legendre on 2,400 panels over [0, 60], enough to resolve
+    # the dip of alpha where y crosses 0 to rounding (1,200 leave 3e-11).
+    x0, K, f = [1.0, -0.5, 0.3, 1.0, 0.0, 0.0], 0.1, TWO_STATE_FILTER
+    lam, V = np.linalg.eig(f.A)
+    coef = (f.C @ V) * np.linalg.solve(V, x0[:2] + np.linalg.solve(f.A, f.B) * u)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    h = 60.0 / 2400
+    t = (np.arange(2400)[:, None] + (nodes + 1.0) / 2.0) * h
+    y = (np.exp(t[..., None] * lam) @ coef).real
+    tau = x0[2] + h / 2.0 * np.sum(weights * (y * y / (K + y * y)))
+    _assert_constant_leg_ends_on_lorenz_flow(_two_state_filter_cascade(), x0, u, tau)
 
 
 def test_zero_span_returns_single_row():
@@ -300,7 +325,7 @@ def test_tight_tolerance_run_stays_within_the_step_budget():
 
 def _pair_halves(sys, x0_a, x0_b, t_span, output_grid):
     """Integrate two starts of ``sys`` jointly; the two halves' states."""
-    traj = integrate(pair_system(sys), U0, np.concatenate([x0_a, x0_b]), t_span,
+    traj = integrate(_stacked_pair(sys), U0, np.concatenate([x0_a, x0_b]), t_span,
                      output_grid=output_grid)
     return traj.states[:, :sys.dim], traj.states[:, sys.dim:]
 
@@ -417,7 +442,7 @@ def test_example_rhs_bitwise_under_float_and_numpy_inputs():
     # of the same expressions on numpy scalars; u may be a numpy scalar
     rng = np.random.default_rng(6)
     for which, sys, K in ((1, compose_example1(), 0.1), (2, compose_example2(), 1e-4)):
-        pair = pair_system(sys)
+        pair = _stacked_pair(sys)
         for _ in range(50):
             state = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 2, 5)
             u = float(rng.uniform(-10.0, 10.0))
@@ -572,9 +597,7 @@ def _assert_matches_reference(sys, signal, x0, t_span, cfg=IntegratorConfig(),
 
 
 def _two_state_filter_cascade():
-    # W(s) = s / ((s + 1)(s + 2)), as in test_blocks
-    filt = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[0.0, 1.0], D=0.0)
-    return compose_cascade(filt, Saturation(0.1), lorenz_field())
+    return compose_cascade(TWO_STATE_FILTER, Saturation(0.1), lorenz_field())
 
 
 EXAMPLE_X0 = [5.0, 0.0, 1.0, 0.0, 0.0]
@@ -584,7 +607,7 @@ REFERENCE_CASES = {
     "example1-sin": (compose_example1, Sinusoid(), EXAMPLE_X0, 10.0),
     "example2-const": (compose_example2, Constant(-3.0), EXAMPLE_X0, 10.0),
     "example2-sin": (compose_example2, Sinusoid(), EXAMPLE_X0, 10.0),
-    "pair-example1": (lambda: pair_system(compose_example1()), Sinusoid(),
+    "pair-example1": (lambda: _stacked_pair(compose_example1()), Sinusoid(),
                       EXAMPLE_X0 + [5.0, 0.0, 1.0 + 1e-8, 0.0, 0.0], 5.0),
     "two-state-filter": (_two_state_filter_cascade, Constant(7.0),
                          [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
