@@ -5,25 +5,22 @@ below rel_tol * |state| + abs_tol. Grid output interpolates the internal
 steps with a cubic Hermite (locally 4th-order accurate); dense output is the
 internal steps themselves.
 
-Everything here is deterministic: same system, input, initial state and
-config produce bit-identical trajectories. The step runs on lists of Python
-floats and sums each stage's terms strictly left to right, as a per-term
-loop does, so a state component rounds the same way whatever else shares
-the state vector: the two identical copies of the Lyapunov pair in
-``diagnostics`` evolve bit for bit alike. The error norm is the same kind
-of ordered sum, over the components in index order, so a step's bits rest
-on IEEE arithmetic and libm's ``pow`` (the controller's ``err ** -0.2``),
-not on numpy's or BLAS's summation order.
-
-Every RHS call gets the state as a list of Python floats and must return a
-new list of the same length (the ``ComposedSystem.rhs`` contract). The
-state, the stages and the grid rows are all computed on Python floats;
-numpy holds only the grid and the output arrays.
+Runs are bitwise deterministic. The step loop is Python source written out
+once per state length (``_dp45_source``), with a float local per component.
+Each stage sums its terms left to right, skipping zero weights, and Python
+neither reorders nor fuses float operations, so a component rounds as the
+per-term loop ``acc += a[k] * K[k]`` does, whatever else shares the state:
+the two copies of the Lyapunov pair in ``diagnostics`` evolve bit for bit
+alike. The error norm adds ``q * q`` in component order. So a step's bits
+rest on IEEE arithmetic and libm's ``pow`` (the controller's ``err ** -0.2``),
+not on numpy's or BLAS's summation order. An RHS gets the state as a list of
+Python floats and returns a new list of the same length (``ComposedSystem``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +102,7 @@ class Trajectory:
 
 # Dormand-Prince 4(5) tableau as Python floats (propagates the 5th-order
 # solution; the difference against the embedded 4th-order result estimates
-# local error). _run_dp45 spells each row out term by term.
+# local error). _DP45_LOOP spells each row out term by term.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
@@ -132,6 +129,7 @@ _H_MAX = 0.1
 # 10,000 is crawling, as a product-form cascade with p < 0 does (it runs its
 # field backward in time).
 _MAX_STEPS_PER_UNIT = 10_000
+_WRONG_LENGTH = "the right-hand side returned a vector of length {} for a state of length {}"
 
 
 def check_initial_state(x0, dim: int) -> np.ndarray:
@@ -177,6 +175,12 @@ def integrate(
     ``output_grid`` selects the sample times (must lie within t_span and
     increase); None returns every internal step ("dense"). The returned
     times equal the requested grid exactly.
+
+    Every stage, the first included, is one call ``rhs(t, y, u(t))``; a result
+    of the wrong length, at any stage, is a ``ValueError``. A trial step with a
+    non-finite stage or result, or whose RHS raised ``ArithmeticError`` (where
+    numpy gave inf, Python's ``**`` raises ``OverflowError``), is rejected like
+    one with an infinite error. ``_kernel(n)`` runs the step loop.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -196,124 +200,121 @@ def integrate(
     else:
         grid = None
 
-    # The kernel rejects or raises on non-finite values itself; a user RHS
-    # may still compute with numpy inside, as ``(A @ z).tolist()`` does, and
-    # its element-wise warnings (say, on a rejected trial step) are noise.
+    rhs, u, y0, n = sys.rhs, input_signal, x0.tolist(), sys.dim
+    rows = None if grid is None else np.empty((grid.size, n))
+    dense_t, dense_y = [t0], [y0]
+    gi = 0
+    if rows is not None and grid[0] == t0:
+        rows[0] = y0
+        gi = 1
+    # The kernel handles non-finite values itself; numpy warnings from an RHS
+    # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        times, states = _run_dp45(sys.rhs, input_signal, x0.tolist(), t0, t_end,
-                                  cfg, grid)
-    return Trajectory(times, states, sys.state_names)
+        try:
+            k0 = rhs(t0, y0, u(t0))
+        except ArithmeticError as exc:
+            raise DivergenceError(f"derivative at initial state raised {exc!r}",
+                                  last_good_time=t0) from exc
+        if len(k0) != n:
+            raise ValueError(_WRONG_LENGTH.format(len(k0), n))
+        if not all(map(math.isfinite, k0)):
+            raise DivergenceError("derivative non-finite at initial state",
+                                  last_good_time=t0)
+        y, gi = _kernel(n)(rhs, u, y0, k0, t0, t_end, min(_H_INIT, t_end - t0), cfg,
+                           grid, rows, gi, dense_t, dense_y)
+    if rows is None:
+        return Trajectory(np.array(dense_t), np.array(dense_y), sys.state_names)
+    rows[gi:] = y  # grid points at (or within rounding of) t_end
+    return Trajectory(grid.copy(), rows, sys.state_names)
 
 
-def _run_dp45(rhs, u, y0, t0, t_end, cfg, grid):
-    """Dormand-Prince 4(5) with step control on the RMS of the scaled error.
+_KERNELS = {}  # state length -> compiled step loop
 
-    Every stage, the first included, is one call ``rhs(t, y, u(t))``. An
-    initial derivative that raises ``ArithmeticError`` or is non-finite is a
-    ``DivergenceError``; one of the wrong length is a ``ValueError``. A later
-    trial step with a non-finite stage or result, or whose right-hand side
-    raised ``ArithmeticError`` (Python's ``**`` raises ``OverflowError``
-    where numpy returned inf), is rejected like one with an infinite error,
-    so ``h`` shrinks by ``_MIN_FACTOR``; only when that drives ``h`` below
-    ``_H_MIN`` is it a ``DivergenceError``. A run whose trial steps outnumber
-    ``_MAX_STEPS_PER_UNIT * (1 + t - t0)`` raises ``StepBudgetError``: the
-    budget grows with the time covered, so a long run that makes progress
-    never meets it, and one that crawls does within seconds.
 
-    The state, the stages and the error are lists of Python floats: on
-    vectors this short, one list comprehension per stage costs less than
-    the overhead of numpy calls. Each stage sums its terms left to right, skipping
-    zero weights, and Python neither reorders nor fuses float operations, so
-    every component rounds as the per-term loop ``acc += a[k] * K[k]`` does,
-    whatever the state's size. The error norm sums the squared scaled errors
-    ``s += q * q`` in component order, in the same loop that computes them.
+def _kernel(n):
+    """The step loop for states of length ``n``, compiled on first use. Its
+    globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
+    if n not in _KERNELS:
+        ns = {}
+        exec(compile(_dp45_source(n), f"<dp45 n={n}>", "exec"), globals(), ns)
+        _KERNELS[n] = ns["dp45_loop"]
+    return _KERNELS[n]
 
-    Each grid row is the cubic Hermite interpolant of its step, computed on
-    floats and written into the preallocated ``rows``; no numpy call runs
-    inside the step loop.
+
+def _dp45_source(n):
+    """``_DP45_LOOP`` for states of length ``n``: ``[[x_@]]`` becomes the list
+    ``[x_0, x_1, ...]``, and a line with ``@`` outside ``[[ ]]`` one line per
+    component. Every component of the state and of each stage is a local
+    (``y_0``, ``k3_0``, ...), so an RHS result of the wrong length fails its
+    unpack. ``print(_dp45_source(5))`` shows the loop for 5 states.
     """
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+    def each(text, sep):
+        return sep.join(text.replace("@", str(i)) for i in range(n))
+
+    src = re.sub(r"\[\[(.*?)\]\]", lambda m: f"[{each(' '.join(m[1].split()), ', ')}]",
+                 _DP45_LOOP, flags=re.S)
+    return "".join(each(line, "") if "@" in line else line
+                   for line in src.splitlines(True))
+
+
+_DP45_LOOP = """\
+def dp45_loop(rhs, u, y, k, t, t_end, h, cfg, grid, rows, gi, dense_t, dense_y):
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \\
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_ERR
     c1, c2, c3, c4, c5, c6 = _DP_C[1:]
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    isfinite = math.isfinite
-    n = len(y0)
-
-    rows = None if grid is None else np.empty((grid.size, n))
-    t, y = t0, y0
-    dense_t, dense_y = [t], [y]
-    gi = 0
-    if rows is not None and grid[0] == t0:
-        rows[0] = y
-        gi = 1
-
-    try:
-        k0 = rhs(t0, y0, u(t0))
-    except ArithmeticError as exc:
-        raise DivergenceError(f"derivative at initial state raised {exc!r}",
-                              last_good_time=t0) from exc
-    if len(k0) != n:  # zip would drop, numpy would broadcast
-        raise ValueError(f"the right-hand side returned a vector of length "
-                         f"{len(k0)} for a state of length {n}")
-    if not all(map(isfinite, k0)):
-        raise DivergenceError("derivative non-finite at initial state",
-                              last_good_time=t0)
-    abs_y = list(map(abs, y))
-    h = min(_H_INIT, t_end - t0)
-    steps = 0
+    abs_tol, rel_tol, isfinite = cfg.abs_tol, cfg.rel_tol, math.isfinite
+    n, t0, steps = len(y), t, 0
+    [[y_@]] = y
+    [[k0_@]] = k
+    a_@ = abs(y_@)
     finite = True  # whether the last trial step was finite
     eps_end = 1e-14 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
         steps += 1
         if steps > _MAX_STEPS_PER_UNIT * (1.0 + t - t0):
-            raise StepBudgetError(
-                f"more than {_MAX_STEPS_PER_UNIT} trial steps per unit of time",
-                last_good_time=t)
+            raise StepBudgetError(f"more than {_MAX_STEPS_PER_UNIT} trial steps "
+                                  "per unit of time", last_good_time=t)
         if h < _H_MIN:
             if not finite:
-                raise DivergenceError(
-                    f"trial steps stayed non-finite down to h={h:.3e} "
-                    f"< {_H_MIN:.3e}", last_good_time=t)
-            raise StiffnessError(
-                f"step size {h:.3e} fell below {_H_MIN:.3e}",
-                last_good_time=t)
+                raise DivergenceError(f"trial steps stayed non-finite down to "
+                                      f"h={h:.3e} < {_H_MIN:.3e}", last_good_time=t)
+            raise StiffnessError(f"step size {h:.3e} fell below {_H_MIN:.3e}", last_good_time=t)
         h_step = min(h, t_end - t)
 
         try:
             ts = t + c1 * h_step
-            k1 = rhs(ts, [y_ + h_step * (a10 * p0) for y_, p0 in zip(y, k0)], u(ts))
+            k = [[k1_@]] = rhs(ts, [[y_@ + h_step * (a10 * k0_@)]], u(ts))
             ts = t + c2 * h_step
-            k2 = rhs(ts, [y_ + h_step * (a20 * p0 + a21 * p1)
-                          for y_, p0, p1 in zip(y, k0, k1)], u(ts))
+            k = [[k2_@]] = rhs(ts, [[y_@ + h_step * (a20 * k0_@ + a21 * k1_@)]], u(ts))
             ts = t + c3 * h_step
-            k3 = rhs(ts, [y_ + h_step * (a30 * p0 + a31 * p1 + a32 * p2)
-                          for y_, p0, p1, p2 in zip(y, k0, k1, k2)], u(ts))
+            k = [[k3_@]] = rhs(ts, [[y_@ + h_step * (a30 * k0_@ + a31 * k1_@
+                                                     + a32 * k2_@)]], u(ts))
             ts = t + c4 * h_step
-            k4 = rhs(ts, [y_ + h_step * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-                          for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)], u(ts))
+            k = [[k4_@]] = rhs(ts, [[y_@ + h_step * (a40 * k0_@ + a41 * k1_@ + a42 * k2_@
+                                                     + a43 * k3_@)]], u(ts))
             ts = t + c5 * h_step
-            k5 = rhs(ts, [y_ + h_step * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3
-                                         + a54 * p4)
-                          for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)],
-                     u(ts))
+            k = [[k5_@]] = rhs(ts, [[y_@ + h_step * (a50 * k0_@ + a51 * k1_@ + a52 * k2_@
+                                                     + a53 * k3_@ + a54 * k4_@)]], u(ts))
             # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight
             # on the 7th stage, so the 7th stage runs at the new state.
-            y_new = [y_ + h_step * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
-                     for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
+            yn_@ = y_@ + h_step * (b0 * k0_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@)
             ts = t + c6 * h_step
-            k6 = rhs(ts, y_new, u(ts))
-            finite = all(map(isfinite, y_new)) and all(map(isfinite, k6))
+            y_new = [[yn_@]]
+            k = [[k6_@]] = rhs(ts, y_new, u(ts))
+            finite = all([[isfinite(yn_@) and isfinite(k6_@)]])
         except ArithmeticError:
             finite = False
+        except ValueError:
+            if len(k) != n:  # the unpack of k failed
+                raise ValueError(_WRONG_LENGTH.format(len(k), n)) from None
+            raise
         if finite:
-            abs_y_new = list(map(abs, y_new))
+            b_@ = abs(yn_@)
+            d_@ = e0 * k0_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@
+            q_@ = h_step * d_@ / (abs_tol + rel_tol * (a_@ if a_@ > b_@ else b_@))
             s = 0.0
-            for a, b, p0, p2, p3, p4, p5, p6 in zip(abs_y, abs_y_new, k0, k2, k3,
-                                                    k4, k5, k6):
-                q = (h_step * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
-                     / (abs_tol + rel_tol * (a if a > b else b)))
-                s += q * q
+            s += q_@ * q_@
             err = math.sqrt(s / n)
         else:
             err = math.inf
@@ -336,18 +337,16 @@ def _run_dp45(rhs, u, y0, t0, t_end, cfg, grid):
                     w1 = (th3 - 2 * th2 + th) * h_step
                     w2 = -2 * th3 + 3 * th2
                     w3 = (th3 - th2) * h_step
-                    rows[gi] = [w0 * a + w1 * b + w2 * c + w3 * d
-                                for a, b, c, d in zip(y, k0, y_new, k6)]
+                    rows[gi] = [[w0 * y_@ + w1 * k0_@ + w2 * yn_@ + w3 * k6_@]]
                     gi += 1
-            t, y, abs_y, k0 = t_new, y_new, abs_y_new, k6
+            t, y = t_new, y_new
+            y_@ = yn_@
+            a_@ = b_@
+            k0_@ = k6_@
             # 0.0 ** -0.2 raises in Python
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** -0.2)
+            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         else:  # reject and retry with a smaller step
             factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
         h = min(_H_MAX, h_step * factor)
-
-    if rows is None:
-        return np.array(dense_t), np.array(dense_y)
-    rows[gi:] = y  # grid points at (or within rounding of) t_end
-    return grid.copy(), rows
+    return y, gi
+"""

@@ -359,6 +359,15 @@ def test_import_loads_no_process_pool():
     assert proc.stdout == "False\n"
 
 
+def test_import_and_scenario_setup_compile_no_step_kernel():
+    # the solver compiles its step loop on the first integrate call at each
+    # state length, so importing and building a scenario pay nothing for it
+    proc = run_python("-c", "import entrain; from entrain import scenarios, solver; "
+                      "scenarios.build_system('example1'); print(solver._KERNELS)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{}\n"
+
+
 @pytest.mark.skipif(shutil.which("entrain") is None,
                     reason="entrain console script not on PATH "
                            "(install with pip install -e .)")

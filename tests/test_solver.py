@@ -157,6 +157,25 @@ def test_rhs_of_the_wrong_length_is_rejected():
     for grid in (None, np.array([0.5, 1.0])):
         with pytest.raises(ValueError, match="length 1 for a state of length 3"):
             integrate(short, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
+        # from its 4th call on (the first step's 3rd stage), a 2-state RHS
+        # returns one value too many or too few, or raises ValueError itself
+        for turned, match in (([1.0, 2.0, 3.0], "length 3 for a state of length 2"),
+                              ([1.0], "length 1 for a state of length 2"),
+                              (ValueError("its own"), "^its own$")):
+            calls = []
+
+            def rhs(t, state, u):
+                calls.append(t)
+                if len(calls) < 4:
+                    return [-v for v in state]
+                if isinstance(turned, Exception):
+                    raise turned
+                return turned
+
+            with pytest.raises(ValueError, match=match):
+                integrate(ComposedSystem(rhs, ("a", "b")), U0, np.ones(2), (0.0, 1.0),
+                          output_grid=grid)
+            assert len(calls) == 4
 
 
 def test_integrate_hands_the_rhs_lists_of_floats():
@@ -640,7 +659,7 @@ def test_kernel_matches_numpy_reference_bitwise(case, grid_id):
                               output_grid=GRIDS[grid_id](t_end))
 
 
-@pytest.mark.parametrize("dim", range(1, 21))
+@pytest.mark.parametrize("dim", [*range(1, 21), 64])
 def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     # a random stable linear system; from 8 components on, numpy's pairwise
     # sum would order the error norm differently
@@ -652,6 +671,24 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
     _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
                               output_grid=np.linspace(0.0, 3.0, 31))
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_kernel_is_compiled_once_from_its_source(n):
+    # n = 1 unpacks one-element lists; 64 lies past the dimensions above
+    kernel = solver._kernel(n)
+    assert solver._kernel(n) is kernel
+    assert solver._KERNELS[n] is kernel
+    src = solver._dp45_source(n)
+    assert src == solver._dp45_source(n)
+    unpack = ", ".join(f"k6_{i}" for i in range(n))
+    assert f"k = [{unpack}] = rhs(ts, y_new, u(ts))" in src
+    ns = {}
+    exec(compile(src, "<test>", "exec"), vars(solver), ns)
+    # co_code is the bytecode as compiled, before the interpreter specialises it
+    fresh, cached = ns["dp45_loop"].__code__, kernel.__code__
+    assert (fresh.co_code, fresh.co_consts, fresh.co_varnames) == (
+        cached.co_code, cached.co_consts, cached.co_varnames)
 
 
 def test_kernel_matches_numpy_reference_with_rejected_steps(monkeypatch):
