@@ -69,9 +69,7 @@ class VectorField:
     """Autonomous vector field z -> f(z) with a declared dimension.
 
     ``rhs(z)`` takes z as a list of ``dim`` Python floats, which it must not
-    change, and returns f(z) as a new list of ``dim`` floats. It must be a
-    list, not an array: the Lyapunov pair in ``diagnostics`` joins two
-    results with ``+``.
+    change, and returns f(z) as a new list of ``dim`` floats.
     """
 
     dim: int
@@ -89,8 +87,9 @@ class ComposedSystem:
     ``rhs(t, state, u)`` returns the state derivative; time enters only
     through the input value u. ``state`` is a list of Python floats, which
     the RHS must not change, and the derivative is a new list of the same
-    length. ``state_names`` labels each state column, in
-    order, for CSV output and diagnostics lookups; ``dim`` is its length.
+    length; the Lyapunov pair calls ``rhs`` once per copy, on that copy's own
+    list. ``state_names`` labels each state column, in order, for CSV output
+    and diagnostics lookups; ``dim`` is its length, at least 1.
     ``z`` lists the indices of the gated field's state, the block
     ``lyapunov_max`` perturbs; it is empty for a system without one.
     """
@@ -100,6 +99,8 @@ class ComposedSystem:
     z: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not self.state_names:
+            raise ValueError("a system needs at least one state")
         if len(set(self.z)) != len(self.z) or not all(0 <= i < self.dim for i in self.z):
             raise ValueError(f"z {self.z} must be distinct indices in 0..{self.dim - 1}")
 
@@ -152,14 +153,15 @@ def compose_example1(K: float = 0.1) -> ComposedSystem:
         dpsi  = p (28 xi - psi - xi zeta)
         dzeta = p (xi psi - (8/3) zeta)
     """
-    sat = Saturation(K)
+    K = Saturation(K).K
 
     def rhs(t: float, state: list[float], u: float) -> list[float]:
         x, p, xi, psi, zeta = state
         y = x + u
+        y2 = y * y
         return [
             -x - u,
-            -p + sat(y),
+            -p + y2 / (K + y2),
             p * (10.0 * (psi - xi)),
             p * (28.0 * xi - psi - xi * zeta),
             p * (xi * psi - (8.0 / 3.0) * zeta),
@@ -180,14 +182,15 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
     At p = 0 the (xi, psi, zeta) block is a stable linear system; at p = 1 it
     is the Lorenz system with the default parameters.
     """
-    sat = Saturation(K)
+    K = Saturation(K).K
 
     def rhs(t: float, state: list[float], u: float) -> list[float]:
         x, p, xi, psi, zeta = state
         y = x + u
+        y2 = y * y
         return [
             -x - u,
-            -p + sat(y),
+            -p + y2 / (K + y2),
             10.0 * (psi - xi),
             28.0 * p * xi - psi - p * xi * zeta,
             p * xi * psi - (8.0 / 3.0) * zeta,

