@@ -6,16 +6,18 @@ steps with a cubic Hermite (locally 4th-order accurate); dense output is the
 internal steps themselves.
 
 Runs are bitwise deterministic. The step loop is Python source written out
-once per state length and number of copies (``_dp45_source``), with a float
-local per component; the Lyapunov pair in ``diagnostics`` runs two copies of
-a system side by side, one RHS call per copy. Each stage sums its terms left
-to right, skipping zero weights, and Python neither reorders nor fuses float
-operations, so a component rounds as the per-term loop ``acc += a[k] * K[k]``
-does, whatever else shares the state: identical copies evolve bit for bit
-alike. The error norm adds ``q * q`` in component order. So a step's bits
-rest on IEEE arithmetic and libm's ``pow`` (the controller's ``err ** -0.2``),
-not on numpy's or BLAS's summation order. An RHS gets the state as a list of
-Python floats and returns a new list of the same length (``ComposedSystem``).
+from one template per state length and number of copies (``_dp45_source``),
+with a float local per component. It makes every input and RHS call, the first
+derivative's included: ``u`` once per stage, then ``rhs`` once per copy, as
+the Lyapunov pair in ``diagnostics`` runs two copies side by side. Each stage
+sums its terms left to right, skipping zero weights, and Python neither
+reorders nor fuses float operations, so a component rounds as the per-term
+loop ``acc += a[k] * K[k]`` does, whatever else shares the state: identical
+copies evolve bit for bit alike. The error norm adds ``q * q`` in component
+order. So a step's bits rest on IEEE arithmetic and libm's ``pow`` (the
+controller's ``err ** -0.2``), not on numpy's or BLAS's summation order. An
+RHS gets the state as a list of Python floats and returns a new list of the
+same length (``ComposedSystem``).
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def integrate(
     of the wrong length, at any stage, is a ``ValueError``. A trial step with a
     non-finite stage or result, or whose RHS raised ``ArithmeticError`` (where
     numpy gave inf, Python's ``**`` raises ``OverflowError``), is rejected like
-    one with an infinite error. ``_advance`` runs the step loop.
+    one with an infinite error. ``_advance`` runs the generated step loop,
+    which makes every RHS and input call, the first derivative's included.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -207,46 +210,22 @@ def integrate(
 
 def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
     """Step ``y0``, a list of floats holding copies of an n-state system side
-    by side, all driven by ``u``, from t0 to t_end: each copy's first RHS
-    call and its checks, then ``_kernel(n, copies)``. Returns the times and
-    state rows at ``grid``, or at every internal step when ``grid`` is None.
+    by side, all driven by ``u``, from t0 to t_end with ``_kernel(n, copies)``.
+    Returns the times and state rows at ``grid``, or at every internal step
+    when ``grid`` is None.
     """
-    rows = None if grid is None else np.empty((grid.size, len(y0)))
-    dense_t, dense_y = [t0], [y0]
-    gi = 0
-    if rows is not None and grid[0] == t0:
-        rows[0] = y0
-        gi = 1
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        try:
-            u0, k0 = u(t0), []
-            for i in range(0, len(y0), n):
-                k = rhs(t0, y0[i:i + n], u0)
-                if len(k) != n:
-                    raise ValueError(_WRONG_LENGTH.format(len(k), n))
-                k0 += k
-        except ArithmeticError as exc:
-            raise DivergenceError(f"derivative at initial state raised {exc!r}",
-                                  last_good_time=t0) from exc
-        if not all(map(math.isfinite, k0)):
-            raise DivergenceError("derivative non-finite at initial state",
-                                  last_good_time=t0)
-        y, gi = _kernel(n, len(y0) // n)(rhs, u, y0, k0, t0, t_end, min(_H_INIT, t_end - t0),
-                                         cfg, grid, rows, gi, dense_t, dense_y)
-    if rows is None:
-        return np.array(dense_t), np.array(dense_y)
-    rows[gi:] = y  # grid points at (or within rounding of) t_end
-    return grid.copy(), rows
+        return _kernel(n, len(y0) // n)(rhs, u, y0, n, t0, t_end, cfg, grid)
 
 
 _KERNELS = {}  # (state length, copies) -> compiled step loop
 
 
 def _kernel(n, copies=1):
-    """The step loop for ``copies`` copies of n states, compiled on first use.
-    Its globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
+    """The step loop ``_dp45_source(n, copies)``, compiled on first use. Its
+    globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
     if (n, copies) not in _KERNELS:
         ns = {}
         exec(compile(_dp45_source(n, copies), f"<dp45 {n}x{copies}>", "exec"), globals(), ns)
@@ -255,125 +234,141 @@ def _kernel(n, copies=1):
 
 
 def _dp45_source(n, copies=1):
-    """``_DP45_LOOP`` for ``copies`` copies of n states side by side: ``[[x_@]]``
-    becomes the list ``[x_0, x_1, ...]`` of every component, and a line with
-    ``@`` outside ``[[ ]]`` one line per component. Every component of the
-    state and of each stage is a local (``y_0``, ``k3_0``, ...), so an RHS
-    result of the wrong length fails its unpack. With two copies or more, each
-    stage calls ``u(ts)`` once and ``rhs`` once per copy, on its n components.
-    ``print(_dp45_source(5, 2))`` shows the Lyapunov pair's loop for 5 states.
+    """``_DP45_LOOP`` for ``copies`` copies of n states side by side. A
+    statement that calls ``rhs`` is written once per copy, with ``@`` running
+    over that copy's n components. Everywhere else ``[[x_@]]`` becomes the list
+    ``[x_0, x_1, ...]`` of all n * copies components, and a line with ``@`` one
+    line per component. Every component of the state and of each stage is a
+    local (``y_0``, ``k3_0``, ...), so an RHS result of the wrong length fails
+    its unpack. ``print(_dp45_source(5, 2))`` shows the Lyapunov pair's loop
+    for 5 states.
     """
-    def each(text, sep, idx=range(n * copies)):
+    def each(text, sep, idx):
         return sep.join(text.replace("@", str(i)) for i in idx)
 
-    def lists(text, idx=range(n * copies)):
-        return re.sub(r"\[\[(.*?)\]\]",
+    def expand(text, idx):
+        text = re.sub(r"\[\[(.*?)\]\]",
                       lambda m: f"[{each(' '.join(m[1].split()), ', ', idx)}]", text, flags=re.S)
+        return "".join(each(line, "", idx) if "@" in line else line
+                       for line in text.splitlines(True))
 
-    src = _DP45_LOOP
-    if copies > 1:
-        # The loop's n is one copy's length, which the unpack check expects of k
-        # (so k starts as one copy's slice); the error norm divides by the whole.
-        for old, new in (("y_new, u(ts)", "[[yn_@]], u(ts)"), ("len(y), t", f"{n}, t"),
-                         ("s / n", f"s / {n * copies}"), ("= k\n", f"= k\n    k = k[:{n}]\n")):
-            src = src.replace(old, new)
-        src = re.sub(r"^( +)(k = \[\[.*?), u\(ts\)\)$", lambda m: f"{m[1]}v = u(ts)" + "".join(
-            f"\n{m[1]}{lists(m[2], range(c * n, c * n + n))}, v)" for c in range(copies)),
-            src, flags=re.M | re.S)
-    return "".join(each(line, "") if "@" in line else line
-                   for line in lists(src).splitlines(True))
+    src = re.sub(r"^ +k = \[\[.*?, v\)\n", lambda m: "".join(
+        expand(m[0], range(c * n, c * n + n)) for c in range(copies)),
+        _DP45_LOOP, flags=re.M | re.S)
+    return expand(src, range(n * copies))
 
 
 _DP45_LOOP = """\
-def dp45_loop(rhs, u, y, k, t, t_end, h, cfg, grid, rows, gi, dense_t, dense_y):
+def dp45_loop(rhs, u, y, n, t, t_end, cfg, grid):
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \\
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_ERR
     c1, c2, c3, c4, c5, c6 = _DP_C[1:]
     abs_tol, rel_tol, isfinite = cfg.abs_tol, cfg.rel_tol, math.isfinite
-    n, t0, steps = len(y), t, 0
+    t0, steps, h = t, 0, min(_H_INIT, t_end - t)
     [[y_@]] = y
-    [[k0_@]] = k
     a_@ = abs(y_@)
+    dense_t, dense_y, gi = [t], [y], 0
+    if grid is not None:
+        rows = np.empty((grid.size, len(y)))
+        if grid[0] == t:
+            rows[0] = y
+            gi = 1
     finite = True  # whether the last trial step was finite
     eps_end = 1e-14 * max(1.0, abs(t_end))
-    while t < t_end - eps_end:
-        steps += 1
-        if steps > _MAX_STEPS_PER_UNIT * (1.0 + t - t0):
-            raise StepBudgetError(f"more than {_MAX_STEPS_PER_UNIT} trial steps "
-                                  "per unit of time", last_good_time=t)
-        if h < _H_MIN:
-            if not finite:
-                raise DivergenceError(f"trial steps stayed non-finite down to "
-                                      f"h={h:.3e} < {_H_MIN:.3e}", last_good_time=t)
-            raise StiffnessError(f"step size {h:.3e} fell below {_H_MIN:.3e}", last_good_time=t)
-        h_step = min(h, t_end - t)
-
+    k = y[:n]  # the last RHS result; one copy's length before the first call
+    try:
         try:
-            ts = t + c1 * h_step
-            k = [[k1_@]] = rhs(ts, [[y_@ + h_step * (a10 * k0_@)]], u(ts))
-            ts = t + c2 * h_step
-            k = [[k2_@]] = rhs(ts, [[y_@ + h_step * (a20 * k0_@ + a21 * k1_@)]], u(ts))
-            ts = t + c3 * h_step
-            k = [[k3_@]] = rhs(ts, [[y_@ + h_step * (a30 * k0_@ + a31 * k1_@
-                                                     + a32 * k2_@)]], u(ts))
-            ts = t + c4 * h_step
-            k = [[k4_@]] = rhs(ts, [[y_@ + h_step * (a40 * k0_@ + a41 * k1_@ + a42 * k2_@
-                                                     + a43 * k3_@)]], u(ts))
-            ts = t + c5 * h_step
-            k = [[k5_@]] = rhs(ts, [[y_@ + h_step * (a50 * k0_@ + a51 * k1_@ + a52 * k2_@
-                                                     + a53 * k3_@ + a54 * k4_@)]], u(ts))
-            # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero weight
-            # on the 7th stage, so the 7th stage runs at the new state.
-            yn_@ = y_@ + h_step * (b0 * k0_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@)
-            ts = t + c6 * h_step
-            y_new = [[yn_@]]
-            k = [[k6_@]] = rhs(ts, y_new, u(ts))
-            finite = all([[isfinite(yn_@) and isfinite(k6_@)]])
-        except ArithmeticError:
-            finite = False
-        except ValueError:
-            if len(k) != n:  # the unpack of k failed
-                raise ValueError(_WRONG_LENGTH.format(len(k), n)) from None
-            raise
-        if finite:
-            b_@ = abs(yn_@)
-            d_@ = e0 * k0_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@
-            q_@ = h_step * d_@ / (abs_tol + rel_tol * (a_@ if a_@ > b_@ else b_@))
-            s = 0.0
-            s += q_@ * q_@
-            err = math.sqrt(s / n)
-        else:
-            err = math.inf
-
-        if err <= 1.0:  # accept
-            t_new = t + h_step
-            if rows is None:
-                dense_t.append(t_new)
-                dense_y.append(y_new)
+            v = u(t)
+            k = [[k0_@]] = rhs(t, [[y_@]], v)
+        except ArithmeticError as exc:
+            raise DivergenceError(f"derivative at initial state raised {exc!r}",
+                                  last_good_time=t) from exc
+        if not all([[isfinite(k0_@)]]):
+            raise DivergenceError("derivative non-finite at initial state", last_good_time=t)
+        while t < t_end - eps_end:
+            steps += 1
+            if steps > _MAX_STEPS_PER_UNIT * (1.0 + t - t0):
+                raise StepBudgetError(f"more than {_MAX_STEPS_PER_UNIT} trial steps "
+                                      "per unit of time", last_good_time=t)
+            if h < _H_MIN:
+                if not finite:
+                    raise DivergenceError(f"trial steps stayed non-finite down to "
+                                          f"h={h:.3e} < {_H_MIN:.3e}", last_good_time=t)
+                raise StiffnessError(f"step size {h:.3e} fell below {_H_MIN:.3e}", last_good_time=t)
+            h_step = min(h, t_end - t)
+            try:
+                ts = t + c1 * h_step
+                v = u(ts)
+                k = [[k1_@]] = rhs(ts, [[y_@ + h_step * (a10 * k0_@)]], v)
+                ts = t + c2 * h_step
+                v = u(ts)
+                k = [[k2_@]] = rhs(ts, [[y_@ + h_step * (a20 * k0_@ + a21 * k1_@)]], v)
+                ts = t + c3 * h_step
+                v = u(ts)
+                k = [[k3_@]] = rhs(ts, [[y_@ + h_step * (a30 * k0_@ + a31 * k1_@ + a32 * k2_@)]], v)
+                ts = t + c4 * h_step
+                v = u(ts)
+                k = [[k4_@]] = rhs(ts, [[y_@ + h_step * (a40 * k0_@ + a41 * k1_@
+                                                         + a42 * k2_@ + a43 * k3_@)]], v)
+                ts = t + c5 * h_step
+                v = u(ts)
+                k = [[k5_@]] = rhs(ts, [[y_@ + h_step * (a50 * k0_@ + a51 * k1_@ + a52 * k2_@
+                                                         + a53 * k3_@ + a54 * k4_@)]], v)
+                # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero
+                # weight on the 7th stage, so the 7th stage runs at the new state.
+                yn_@ = y_@ + h_step * (b0 * k0_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@)
+                ts = t + c6 * h_step
+                v = u(ts)
+                k = [[k6_@]] = rhs(ts, [[yn_@]], v)
+                finite = all([[isfinite(yn_@) and isfinite(k6_@)]])
+            except ArithmeticError:
+                finite = False
+            if finite:
+                b_@ = abs(yn_@)
+                d_@ = e0 * k0_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@
+                q_@ = h_step * d_@ / (abs_tol + rel_tol * (a_@ if a_@ > b_@ else b_@))
+                s = 0.0
+                s += q_@ * q_@
+                err = math.sqrt(s / len(y))
             else:
-                bound = t_new + 1e-14 * max(1.0, abs(t_new))
-                while gi < grid.size:
-                    tg = grid.item(gi)
-                    if tg > bound:
-                        break
-                    th = (min(tg, t_new) - t) / h_step
-                    th2 = th * th
-                    th3 = th2 * th
-                    w0 = 2 * th3 - 3 * th2 + 1
-                    w1 = (th3 - 2 * th2 + th) * h_step
-                    w2 = -2 * th3 + 3 * th2
-                    w3 = (th3 - th2) * h_step
-                    rows[gi] = [[w0 * y_@ + w1 * k0_@ + w2 * yn_@ + w3 * k6_@]]
-                    gi += 1
-            t, y = t_new, y_new
-            y_@ = yn_@
-            a_@ = b_@
-            k0_@ = k6_@
-            # 0.0 ** -0.2 raises in Python
-            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-        else:  # reject and retry with a smaller step
-            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        h = min(_H_MAX, h_step * factor)
-    return y, gi
+                err = math.inf
+
+            if err <= 1.0:  # accept
+                t_new = t + h_step
+                if grid is None:
+                    dense_t.append(t_new)
+                    dense_y.append([[yn_@]])
+                else:
+                    bound = t_new + 1e-14 * max(1.0, abs(t_new))
+                    while gi < grid.size:
+                        tg = grid.item(gi)
+                        if tg > bound:
+                            break
+                        th = (min(tg, t_new) - t) / h_step
+                        th2 = th * th
+                        th3 = th2 * th
+                        w0 = 2 * th3 - 3 * th2 + 1
+                        w1 = (th3 - 2 * th2 + th) * h_step
+                        w2 = -2 * th3 + 3 * th2
+                        w3 = (th3 - th2) * h_step
+                        rows[gi] = [[w0 * y_@ + w1 * k0_@ + w2 * yn_@ + w3 * k6_@]]
+                        gi += 1
+                t = t_new
+                y_@ = yn_@
+                a_@ = b_@
+                k0_@ = k6_@
+                # 0.0 ** -0.2 raises in Python
+                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+            else:  # reject and retry with a smaller step
+                factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            h = min(_H_MAX, h_step * factor)
+    except ValueError:
+        if len(k) != n:  # the unpack of k failed
+            raise ValueError(_WRONG_LENGTH.format(len(k), n)) from None
+        raise
+    if grid is None:
+        return np.array(dense_t), np.array(dense_y)
+    rows[gi:] = [[y_@]]  # grid points at (or within rounding of) t_end
+    return grid.copy(), rows
 """

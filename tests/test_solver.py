@@ -18,7 +18,7 @@ from entrain.blocks import (
     lorenz_field,
 )
 from entrain.lti import LtiSystem
-from entrain.signals import Constant, Sinusoid
+from entrain.signals import Constant, Sampled, Sinusoid
 from entrain.solver import (
     _DP_A,
     _DP_B5,
@@ -704,17 +704,16 @@ def test_kernel_is_compiled_once_from_its_source(n, copies):
     assert solver._KERNELS[n, copies] is kernel
     src = solver._dp45_source(n, copies)
     assert src == solver._dp45_source(n, copies)
-    # six stages in the loop, each with one input call and one RHS call per copy
-    assert src.count("u(ts)") == 6
+    # the first derivative: one input call, one RHS call per copy; then six
+    # stages in the loop, each with one input call and one RHS call per copy
+    assert src.count("u(t)") == 1
+    assert src.count(" = rhs(t, ") == copies
+    assert src.count("v = u(ts)") == 6
     assert src.count(" = rhs(ts, ") == 6 * copies
-    if copies == 1:
-        unpack = ", ".join(f"k6_{i}" for i in range(n))
-        assert f"k = [{unpack}] = rhs(ts, y_new, u(ts))" in src
-    else:
-        for c in range(copies):
-            own = range(c * n, c * n + n)
-            unpack, state = (", ".join(f"{name}_{i}" for i in own) for name in ("k6", "yn"))
-            assert f"k = [{unpack}] = rhs(ts, [{state}], v)" in src
+    for c in range(copies):
+        own = range(c * n, c * n + n)
+        unpack, state = (", ".join(f"{name}_{i}" for i in own) for name in ("k6", "yn"))
+        assert f"k = [{unpack}] = rhs(ts, [{state}], v)" in src
     ns = {}
     exec(compile(src, "<test>", "exec"), vars(solver), ns)
     # co_code is the bytecode as compiled, before the interpreter specialises it
@@ -723,13 +722,49 @@ def test_kernel_is_compiled_once_from_its_source(n, copies):
         cached.co_code, cached.co_consts, cached.co_varnames)
 
 
-def test_one_copy_source_is_pinned():
-    # the loop integrate runs, pinned so that the template edits that make
-    # the pair's loop cannot change it
-    src = solver._dp45_source(5)
-    assert src == solver._dp45_source(5, 1)
-    assert hashlib.sha256(src.encode()).hexdigest() == (
-        "53fdd7291758a391b2825aa9aa4ca55c93fcbf7ddc789c37c45f2ca43bc90aa5")
+def test_source_is_pinned():
+    # the loops integrate and the Lyapunov pair run, pinned so that a
+    # template edit meant for one cannot change the other unnoticed
+    for copies, digest in (
+            (1, "db499bcb241a0d5030e0fc1c7ca68d133d132b3c7392b7a2f40554a621bdba7a"),
+            (2, "61ee454e60622d2e4d9db012e4ed4ead2b6fc84acbd0f29784f548518b0be1c0")):
+        src = solver._dp45_source(5, copies)
+        assert hashlib.sha256(src.encode()).hexdigest() == digest
+    assert solver._dp45_source(5) == solver._dp45_source(5, 1)
+
+
+@pytest.mark.parametrize("n, copies", [(1, 1), (3, 2), (5, 2), (64, 1)])
+def test_source_has_no_template_marker_left(n, copies):
+    # a leftover [[...]] would still compile, as a nested list
+    src = solver._dp45_source(n, copies)
+    for marker in ("[[", "]]", "@"):
+        assert marker not in src
+
+
+@pytest.mark.parametrize("turn", ["non-finite", "raises"])
+def test_pair_initial_derivative_of_the_second_copy_alone_is_a_divergence(turn):
+    # the first copy's derivative is fine; the second copy sits on a pole
+    def rhs(t, state, u):
+        if state[0] != 2.0:
+            return [-state[0]]
+        return [math.inf] if turn == "non-finite" else [1.0 / (state[0] - 2.0)]
+
+    with pytest.raises(DivergenceError) as err:
+        solver._advance(rhs, U0, [1.0, 2.0], 1, 0.5, 1.0, IntegratorConfig(), None)
+    assert err.value.last_good_time == 0.5
+    if turn == "raises":
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("t_span", [(1.5, 2.0), (0.0, 2.0)], ids=["first call", "later stage"])
+def test_input_own_value_error_passes_through(t_span):
+    # Sampled raises ValueError outside its samples: at the first input call
+    # on (1.5, 2), at a later stage on (0, 2); neither is a wrong-length RHS
+    signal = Sampled(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="outside sampled range"):
+        integrate(LAG, signal, np.array([0.5]), t_span)
+    with pytest.raises(ValueError, match="outside sampled range"):
+        solver._advance(LAG.rhs, signal, [0.5, 0.25], 1, *t_span, IntegratorConfig(), None)
 
 
 def test_kernel_matches_numpy_reference_with_rejected_steps(monkeypatch):
