@@ -6,35 +6,48 @@ decay, freezing z; a sinusoid keeps y oscillating, w mostly saturated near 1
 and hence p bounded away from zero, so z runs a time-rescaled copy of
 dz/dt = f(z).
 
-``compose_example1`` and ``compose_example2`` are the two concrete 5-state
-instances used throughout (the second replaces the overall p factor with
-p-modulated coefficients so that p = 0 leaves a stable linear system).
-They are the paper's equations written out by hand, and the fast path.
-``compose_cascade`` builds the same cascade around arbitrary ingredient
-blocks; with the bundled blocks it reproduces example1 bit for bit and
-example2 to rounding.
+Every bundled right-hand side is written once, as data: a ``Row`` of
+expression strings, one per state, over named states, the input ``u`` and
+named parameters. ``compose_example1`` and ``compose_example2`` are the two
+concrete 5-state instances used throughout, one row each (the second
+replaces the overall p factor with p-modulated coefficients so that p = 0
+leaves a stable linear system). ``lorenz_field`` and
+``stable_linear_field`` are rows over (xi, psi, zeta), and
+``compose_autonomous`` reuses its field's row. ``compose_cascade`` writes
+the same cascade around arbitrary ingredient blocks as a row of its own;
+with the bundled blocks it reproduces example1 bit for bit and example2 to
+rounding.
+
+A row becomes the ``rhs`` it describes when the block is built. That
+function carries the row and its parameter values as its ``row`` and
+``values`` attributes, and so tells the solver's generated step loop that
+it may write the row out in place of the call; a wrapper around it carries
+neither and is called. A vector field without a row, such as a user's
+function, keeps the call: ``compose_autonomous`` calls it, and
+``compose_cascade`` writes one call to it into its row and offers that row
+to no one.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
 returns a new list (see ``ComposedSystem`` and ``VectorField``).
-``compose_cascade`` reads the filter's matrices into nested lists once, when
+``compose_cascade`` reads the filter's matrices into Python floats once, when
 it builds the system, so no right-hand side calls numpy.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
+from functools import cache
 from typing import Callable
 
 from .lti import LtiSystem, has_zero_at_origin, transfer_eval
 
 __all__ = [
     "Saturation",
+    "Row",
     "VectorField",
     "ComposedSystem",
-    "lorenz_rhs",
     "lorenz_field",
     "stable_linear_field",
     "filter_one",
@@ -62,6 +75,95 @@ class Saturation:
     def __call__(self, y: float) -> float:
         y2 = y * y
         return y2 / (self.K + y2)
+
+
+# A name in an expression: not part of a number or an attribute
+_NAME = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+
+def _rename(text: str, names: dict[str, str]) -> str:
+    """``text`` with every name that is a key of ``names`` replaced by its value."""
+    return _NAME.sub(lambda m: names.get(m[0], m[0]), text)
+
+
+@dataclass(frozen=True)
+class Row:
+    """A right-hand side as data.
+
+    ``exprs[i]`` is the derivative of ``states[i]``: a Python expression over
+    the states, the input ``u``, the time ``t``, the ``params`` and the names
+    that ``lets`` binds. Each let is ``(target, expression)``, evaluated in
+    order; a target may unpack, as in ``"a, b,"``. The compiled right-hand
+    side evaluates exactly these expressions on the state's floats, so
+    whoever writes a row out must keep each one's operations and their order.
+    """
+
+    states: tuple[str, ...]
+    exprs: tuple[str, ...]
+    lets: tuple[tuple[str, str], ...] = ()
+    params: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if len(self.exprs) != len(self.states):
+            raise ValueError(f"{len(self.exprs)} expressions for {len(self.states)} states")
+        names = self.states + self.names
+        if (len(set(names)) != len(names) or {"t", "u"} & set(names)
+                or not all(map(str.isidentifier, names))):
+            raise ValueError(f"row names must be distinct identifiers other than t "
+                             f"and u, got {names}")
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The names the row binds besides its states: params, then let targets."""
+        return self.params + tuple(a.strip() for target, _ in self.lets
+                                   for a in target.split(",") if a.strip())
+
+    def body(self, states, t: str = "t", u: str = "u") -> tuple[list[str], list[str]]:
+        """The statements that evaluate the row, and its derivative
+        expressions, as code that reads state i from ``states[i]``, the time
+        from ``t`` and the input from ``u``. A state given as a bare name is
+        read in place; any other expression is first assigned to the state's
+        local. Every local of the row, and every param, is its name with the
+        prefix ``r_``, so it cannot meet a name of the code around it."""
+        names = {a: "r_" + a for a in self.states + self.names}
+        lines = []
+        for a, arg in zip(self.states, states):
+            if arg.isidentifier():
+                names[a] = arg
+            else:
+                lines.append(f"{names[a]} = {arg}")
+        names.update(t=t, u=u)
+        lines += [f"{_rename(target, names)} = {_rename(expr, names)}"
+                  for target, expr in self.lets]
+        return lines, [_rename(expr, names) for expr in self.exprs]
+
+
+@cache
+def _binder(row: Row, args: str):
+    """``bind(*values)``, which returns ``row`` compiled as ``rhs(args)``
+    with its params bound to ``values``; ``args`` names the state ``state``."""
+    states = [f"r_{a}" for a in row.states]
+    lets, exprs = row.body(states)
+    src = "".join(line + "\n" for line in (
+        f"def bind({', '.join('r_' + a for a in row.params)}):",
+        f"    def rhs({args}):",
+        f"        {', '.join(states)}, = state",
+        *(f"        {line}" for line in lets),
+        f"        return [{', '.join(exprs)}]",
+        "    return rhs"))
+    ns = {}
+    exec(compile(src, f"<row {', '.join(row.states)}>", "exec"), {}, ns)
+    return ns["bind"]
+
+
+def _row_rhs(row: Row, values=(), args: str = "t, state, u", offer: bool = True):
+    """``row`` compiled as ``rhs(args)`` with its params bound to ``values``;
+    with ``offer``, the function carries ``row`` and ``values`` for the
+    solver's step loop to write out."""
+    rhs = _binder(row, args)(*values)
+    if offer:
+        rhs.row, rhs.values = row, tuple(values)
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -109,29 +211,27 @@ class ComposedSystem:
         return len(self.state_names)
 
 
-def lorenz_rhs(z: list[float]) -> list[float]:
-    """Lorenz right-hand side at z = (xi, psi, zeta), with the classic
-    chaotic parameters s = 10, r = 28, b = 8/3."""
-    xi, psi, zeta = z
-    return [
-        10.0 * (psi - xi),
-        28.0 * xi - psi - xi * zeta,
-        xi * psi - (8.0 / 3.0) * zeta,
-    ]
+# The Lorenz field with the classic chaotic parameters s = 10, r = 28,
+# b = 8/3, and its p = 0 partner in the second example
+_LORENZ = Row(("xi", "psi", "zeta"), (
+    "10.0 * (psi - xi)",
+    "28.0 * xi - psi - xi * zeta",
+    "xi * psi - (8.0 / 3.0) * zeta"))
+_STABLE_LINEAR = Row(("xi", "psi", "zeta"), (
+    "10.0 * (psi - xi)",
+    "-psi",
+    "-(8.0 / 3.0) * zeta"))
 
 
 def lorenz_field() -> VectorField:
-    return VectorField(dim=3, rhs=lorenz_rhs)
+    """The Lorenz field at z = (xi, psi, zeta), with the classic chaotic
+    parameters s = 10, r = 28, b = 8/3."""
+    return VectorField(3, _row_rhs(_LORENZ, args="state"))
 
 
 def stable_linear_field() -> VectorField:
     """The p = 0 limit of the second example: everything decays to the origin."""
-
-    def rhs(z: list[float]) -> list[float]:
-        xi, psi, zeta = z
-        return [10.0 * (psi - xi), -psi, -(8.0 / 3.0) * zeta]
-
-    return VectorField(dim=3, rhs=rhs)
+    return VectorField(3, _row_rhs(_STABLE_LINEAR, args="state"))
 
 
 def filter_one() -> LtiSystem:
@@ -142,6 +242,17 @@ def filter_one() -> LtiSystem:
 # column names of the two concrete 5-state examples, and where z sits
 EXAMPLE_STATE_NAMES = ("x", "p", "xi", "psi", "zeta")
 _EXAMPLE_Z = (2, 3, 4)
+# the front end both examples share: dx = -x - u, dp = -p + alpha(x + u)
+_EXAMPLE_LETS = (("y", "x + u"), ("y2", "y * y"))
+_EXAMPLE_FRONT = ("-x - u", "-p + y2 / (K + y2)")
+_EXAMPLE1 = Row(EXAMPLE_STATE_NAMES, _EXAMPLE_FRONT + (
+    "p * (10.0 * (psi - xi))",
+    "p * (28.0 * xi - psi - xi * zeta)",
+    "p * (xi * psi - (8.0 / 3.0) * zeta)"), _EXAMPLE_LETS, ("K",))
+_EXAMPLE2 = Row(EXAMPLE_STATE_NAMES, _EXAMPLE_FRONT + (
+    "10.0 * (psi - xi)",
+    "28.0 * p * xi - psi - p * xi * zeta",
+    "p * xi * psi - (8.0 / 3.0) * zeta"), _EXAMPLE_LETS, ("K",))
 
 
 def compose_example1(K: float = 0.1) -> ComposedSystem:
@@ -153,21 +264,8 @@ def compose_example1(K: float = 0.1) -> ComposedSystem:
         dpsi  = p (28 xi - psi - xi zeta)
         dzeta = p (xi psi - (8/3) zeta)
     """
-    K = Saturation(K).K
-
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        x, p, xi, psi, zeta = state
-        y = x + u
-        y2 = y * y
-        return [
-            -x - u,
-            -p + y2 / (K + y2),
-            p * (10.0 * (psi - xi)),
-            p * (28.0 * xi - psi - xi * zeta),
-            p * (xi * psi - (8.0 / 3.0) * zeta),
-        ]
-
-    return ComposedSystem(rhs, EXAMPLE_STATE_NAMES, _EXAMPLE_Z)
+    return ComposedSystem(_row_rhs(_EXAMPLE1, (Saturation(K).K,)), EXAMPLE_STATE_NAMES,
+                          _EXAMPLE_Z)
 
 
 def compose_example2(K: float = 1e-4) -> ComposedSystem:
@@ -182,21 +280,8 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
     At p = 0 the (xi, psi, zeta) block is a stable linear system; at p = 1 it
     is the Lorenz system with the default parameters.
     """
-    K = Saturation(K).K
-
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        x, p, xi, psi, zeta = state
-        y = x + u
-        y2 = y * y
-        return [
-            -x - u,
-            -p + y2 / (K + y2),
-            10.0 * (psi - xi),
-            28.0 * p * xi - psi - p * xi * zeta,
-            p * xi * psi - (8.0 / 3.0) * zeta,
-        ]
-
-    return ComposedSystem(rhs, EXAMPLE_STATE_NAMES, _EXAMPLE_Z)
+    return ComposedSystem(_row_rhs(_EXAMPLE2, (Saturation(K).K,)), EXAMPLE_STATE_NAMES,
+                          _EXAMPLE_Z)
 
 
 def _check_filter(filter1: LtiSystem) -> None:
@@ -219,43 +304,77 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
 
     With ``f0``, constant inputs drive p to 0 and hand z to f0; a sinusoid
     keeps p near 1 and hands z to f1.
+
+    The system's right-hand side is one row: the filter's states ``x`` (or
+    ``x0, x1, ...``), then ``p``, then ``z0, z1, ...``, with each entry of
+    A, B, C and D a parameter. A field with a row has its expressions
+    written in; a field without one is called once per evaluation, and then
+    the row is not offered to the step loop.
     """
     if f0 is not None and f0.dim != f1.dim:
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")
     _check_filter(filter1)
     n, zdim = filter1.n, f1.dim
-    A, B, C, D = filter1.A.tolist(), filter1.B.tolist(), filter1.C.tolist(), filter1.D
-    g1 = f1.rhs
-    g0 = None if f0 is None else f0.rhs
+    xs = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
+    zs = tuple(f"z{i}" for i in range(zdim))
+    params = {}
 
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        # Each row is summed left to right from its first product, with no
-        # 0.0 start, so a -0.0 survives as it does in example1's -x - u.
-        x = state[:n]
-        p = state[n]
-        z = state[n + 1:]
-        y = reduce(add, map(mul, C, x)) + D * u
-        dx = [reduce(add, map(mul, row, x)) + b * u for row, b in zip(A, B)]
-        if g0 is None:
-            dz = [p * v for v in g1(z)]
-        else:
-            q = 1.0 - p
-            dz = [p * v1 + q * v0 for v1, v0 in zip(g1(z), g0(z))]
-        return dx + [-p + sat(y)] + dz
+    def term(name, value, a):
+        params[name] = value
+        return f"{name} * {a}"
 
-    xnames = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
-    znames = tuple(f"z{i}" for i in range(zdim))
-    return ComposedSystem(rhs, xnames + ("p",) + znames, tuple(range(n + 1, n + 1 + zdim)))
+    # each sum runs left to right from its first product, with no 0.0
+    # start, so a -0.0 survives as it does in example1's -x - u
+    dx = tuple(" + ".join([*(term(f"A{i}_{j}", c, a) for j, (c, a) in enumerate(zip(row, xs))),
+                           term(f"B{i}", b, "u")])
+               for i, (row, b) in enumerate(zip(filter1.A.tolist(), filter1.B.tolist())))
+    y = " + ".join([*(term(f"C{j}", c, a) for j, (c, a) in enumerate(zip(filter1.C.tolist(), xs))),
+                    term("D", filter1.D, "u")])
+    lets = [("y", y), ("y2", "y * y")]
+    params["K"] = sat.K
+
+    def field(f, tag):
+        row = getattr(f.rhs, "row", None)
+        if row is None:  # one call, unpacked into the field's components
+            params[tag] = f.rhs
+            out = tuple(f"{tag}_{i}" for i in range(zdim))
+            lets.append((", ".join(out) + ",", f"{tag}([{', '.join(zs)}])"))
+            return out
+        names = {a: f"{tag}_{a}" for a in row.names}
+        names.update(zip(row.states, zs))
+        params.update(zip((names[a] for a in row.params), f.rhs.values))
+        lets.extend((_rename(target, names), _rename(expr, names))
+                    for target, expr in row.lets)
+        return tuple(_rename(expr, names) for expr in row.exprs)
+
+    g1 = field(f1, "f1")
+    if f0 is None:
+        dz = tuple(f"p * ({a})" for a in g1)
+    else:
+        g0 = field(f0, "f0")
+        lets.append(("q", "1.0 - p"))
+        dz = tuple(f"p * ({a}) + q * ({b})" for a, b in zip(g1, g0))
+    row = Row(xs + ("p",) + zs, dx + ("-p + y2 / (K + y2)",) + dz, tuple(lets),
+              tuple(params))
+    offer = all(hasattr(f.rhs, "row") for f in (f1, f0) if f is not None)
+    rhs = _row_rhs(row, tuple(params.values()), offer=offer)
+    return ComposedSystem(rhs, row.states, tuple(range(n + 1, n + 1 + zdim)))
 
 
 def compose_autonomous(field: VectorField) -> ComposedSystem:
     """Wrap a bare vector field as a ComposedSystem that ignores the input.
 
     Used for reference runs such as the plain Lorenz attractor (p fixed at 1).
+    A field with a row gives the system that row; any other field is called.
     """
+    row = getattr(field.rhs, "row", None)
+    if row is not None:
+        rhs = _row_rhs(row, field.rhs.values)
+    else:
+        g = field.rhs
 
-    def rhs(t: float, state: list[float], u: float) -> list[float]:
-        return field.rhs(state)
+        def rhs(t: float, state: list[float], u: float) -> list[float]:
+            return g(state)
 
     names = tuple(f"z{i}" for i in range(field.dim))
     return ComposedSystem(rhs, names, tuple(range(field.dim)))

@@ -24,7 +24,14 @@ __all__ = [
 
 
 class InputSignal:
-    """Base class for scalar inputs. Subclasses implement ``__call__(t)``."""
+    """Base class for scalar inputs. Subclasses implement ``__call__(t)``.
+
+    A class may also define ``expr``: its ``__call__`` as an expression over
+    ``t`` and its dataclass fields, with the same operations in the same
+    order. The solver's step loop then writes that expression out in place
+    of the call, for inputs of exactly that class; a subclass that does not
+    define ``expr`` itself is called.
+    """
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
@@ -50,6 +57,8 @@ class Constant(InputSignal):
         if not math.isfinite(self.value):
             raise ValueError(f"constant input must be finite, got {self.value}")
 
+    expr = "value"
+
     def __call__(self, t: float) -> float:
         return self.value
 
@@ -71,6 +80,8 @@ class Sinusoid(InputSignal):
             raise ValueError(f"sinusoid parameters must be finite, got {self}")
         if not self.omega > 0:
             raise ValueError(f"sinusoid omega must be positive, got {self.omega}")
+
+    expr = "amplitude * math.sin(omega * t + phase)"
 
     def __call__(self, t: float) -> float:
         return self.amplitude * math.sin(self.omega * t + self.phase)

@@ -7,9 +7,13 @@ internal steps themselves.
 
 Runs are bitwise deterministic. The step loop is Python source written out
 from one template per state length and number of copies (``_dp45_source``),
-with a float local per component. It makes every input and RHS call, the first
-derivative's included: ``u`` once per stage, then ``rhs`` once per copy, as
-the Lyapunov pair in ``diagnostics`` runs two copies side by side. Each stage
+with a float local per component. It evaluates the input once per stage and
+the right-hand side once per copy, the first derivative's included, as the
+Lyapunov pair in ``diagnostics`` runs two copies side by side. A right-hand
+side compiled from a row (``blocks.Row``), and a ``Constant`` or
+``Sinusoid``, are written out in the loop, operation for operation; any
+other right-hand side or input, a wrapper of one of these included, is
+called. Each stage
 sums its terms left to right, skipping zero weights, and Python neither
 reorders nor fuses float operations, so a component rounds as the per-term
 loop ``acc += a[k] * K[k]`` does, whatever else shares the state: identical
@@ -22,13 +26,14 @@ same length (``ComposedSystem``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ComposedSystem
+from .blocks import _NAME, ComposedSystem, _rename
 from .signals import InputSignal
 
 __all__ = [
@@ -179,12 +184,12 @@ def integrate(
     increase); None returns every internal step ("dense"). The returned
     times equal the requested grid exactly.
 
-    Every stage, the first included, is one call ``rhs(t, y, u(t))``; a result
-    of the wrong length, at any stage, is a ``ValueError``. A trial step with a
+    Every stage, the first included, evaluates ``rhs(t, y, u(t))`` once, in
+    the generated step loop that ``_advance`` runs; a result of the wrong
+    length, at any stage, is a ``ValueError``. A trial step with a
     non-finite stage or result, or whose RHS raised ``ArithmeticError`` (where
     numpy gave inf, Python's ``**`` raises ``OverflowError``), is rejected like
-    one with an infinite error. ``_advance`` runs the generated step loop,
-    which makes every RHS and input call, the first derivative's included.
+    one with an infinite error.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -210,30 +215,43 @@ def integrate(
 
 def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
     """Step ``y0``, a list of floats holding copies of an n-state system side
-    by side, all driven by ``u``, from t0 to t_end with ``_kernel(n, copies)``.
+    by side, all driven by ``u``, from t0 to t_end with ``_kernel``.
     Returns the times and state rows at ``grid``, or at every internal step
     when ``grid`` is None.
+
+    The loop writes out what the callables say of themselves: the row that a
+    right-hand side compiled from one carries (``blocks.Row``), and the
+    ``expr`` that the input's own class defines. Anything else, a wrapper
+    included, is called.
     """
+    row = getattr(rhs, "row", None)
+    if row is not None and len(row.states) != n:
+        row = None
+    signal = type(u) if "expr" in vars(type(u)) else None
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        return _kernel(n, len(y0) // n)(rhs, u, y0, n, t0, t_end, cfg, grid)
+        return _kernel(n, len(y0) // n, row, signal)(rhs, u, y0, n, t0, t_end, cfg, grid)
 
 
-_KERNELS = {}  # (state length, copies) -> compiled step loop
+# (state length, copies, row, input class) -> compiled step loop; parameter
+# values are read when the loop is entered, so they are not part of the key
+_KERNELS = {}
 
 
-def _kernel(n, copies=1):
-    """The step loop ``_dp45_source(n, copies)``, compiled on first use. Its
-    globals are this module's, so it reads ``_H_MIN`` and the like as it runs."""
-    if (n, copies) not in _KERNELS:
+def _kernel(n, copies=1, row=None, signal=None):
+    """The step loop ``_dp45_source(n, copies, row, signal)``, compiled on
+    first use. Its globals are this module's, so it reads ``_H_MIN`` and the
+    like as it runs."""
+    key = (n, copies, row, signal)
+    if key not in _KERNELS:
         ns = {}
-        exec(compile(_dp45_source(n, copies), f"<dp45 {n}x{copies}>", "exec"), globals(), ns)
-        _KERNELS[n, copies] = ns["dp45_loop"]
-    return _KERNELS[n, copies]
+        exec(compile(_dp45_source(*key), f"<dp45 {n}x{copies}>", "exec"), globals(), ns)
+        _KERNELS[key] = ns["dp45_loop"]
+    return _KERNELS[key]
 
 
-def _dp45_source(n, copies=1):
+def _dp45_source(n, copies=1, row=None, signal=None):
     """``_DP45_LOOP`` for ``copies`` copies of n states side by side. A
     statement that calls ``rhs`` is written once per copy, with ``@`` running
     over that copy's n components. Everywhere else ``[[x_@]]`` becomes the list
@@ -242,6 +260,15 @@ def _dp45_source(n, copies=1):
     local (``y_0``, ``k3_0``, ...), so an RHS result of the wrong length fails
     its unpack. ``print(_dp45_source(5, 2))`` shows the Lyapunov pair's loop
     for 5 states.
+
+    With a ``row`` of n states, each copy's call becomes one assignment per
+    state whose stage input is not a bare name (``r_x = y_0 + ...``), the
+    row's lets, and one assignment per stage component (``k1_0 = -r_x - v``);
+    the row's parameters are bound from ``rhs.values`` on entry. With a
+    ``signal`` class, each ``v = u(ts)`` becomes the class's ``expr``, its
+    fields bound from ``u`` on entry; an ``expr`` without ``t`` is evaluated
+    once, there. ``print(_dp45_source(5, 2, compose_example1().rhs.row,
+    Sinusoid))`` shows the pair's loop for example1 under a sinusoid.
     """
     def each(text, sep, idx):
         return sep.join(text.replace("@", str(i)) for i in idx)
@@ -252,10 +279,35 @@ def _dp45_source(n, copies=1):
         return "".join(each(line, "", idx) if "@" in line else line
                        for line in text.splitlines(True))
 
-    src = re.sub(r"^ +k = \[\[.*?, v\)\n", lambda m: "".join(
-        expand(m[0], range(c * n, c * n + n)) for c in range(copies)),
-        _DP45_LOOP, flags=re.M | re.S)
-    return expand(src, range(n * copies))
+    def call(m):
+        if row is None:
+            return "".join(expand(m[0], range(c * n, c * n + n)) for c in range(copies))
+        indent, k, ts, arg = m[1], m[2], m[3], " ".join(m[4].split())
+        out = []
+        for c in range(copies):
+            own = range(c * n, c * n + n)
+            lines, exprs = row.body([arg.replace("@", str(i)) for i in own], ts, "v")
+            out += lines + [f"{k}{i} = {e}" for i, e in zip(own, exprs)]
+        return "".join(f"{indent}{line}\n" for line in out)
+
+    src = re.sub(r"^( +)k = \[\[(\w+)@\]\] = rhs\((\w+), \[\[(.*?)\]\], v\)\n", call,
+                 _DP45_LOOP, flags=re.M | re.S)
+    entry = []
+    if row is not None and row.params:
+        entry.append(f"{', '.join('r_' + a for a in row.params)}, = rhs.values")
+    if signal is not None:
+        fields = [f.name for f in dataclasses.fields(signal)]
+        entry += [f"u_{a} = u.{a}" for a in fields]
+        names = {a: "u_" + a for a in fields}
+        if "t" in _NAME.findall(signal.expr):
+            src = re.sub(r"^( +)v = u\((\w+)\)\n", lambda m: f"{m[1]}v = "
+                         f"{_rename(signal.expr, {**names, 't': m[2]})}\n", src, flags=re.M)
+        else:  # the same value at every stage
+            src = re.sub(r"^ +v = u\(\w+\)\n", "", src, flags=re.M)
+            entry.append(f"v = {_rename(signal.expr, names)}")
+    head, body = src.split("\n", 1)
+    return expand("".join([head, "\n", *(f"    {line}\n" for line in entry), body]),
+                  range(n * copies))
 
 
 _DP45_LOOP = """\

@@ -13,7 +13,6 @@ from entrain.blocks import (
     compose_example2,
     filter_one,
     lorenz_field,
-    lorenz_rhs,
     stable_linear_field,
 )
 from entrain.diagnostics import classify_response
@@ -53,17 +52,17 @@ def test_alpha_rejects_bad_K():
 
 def test_lorenz_rhs_standard_parameters():
     # s = 10, r = 28, b = 8/3
-    dz = lorenz_rhs([1.0, 2.0, 3.0])
+    dz = lorenz_field().rhs([1.0, 2.0, 3.0])
     assert type(dz) is list
     np.testing.assert_allclose(dz, [10.0, 28.0 - 2.0 - 3.0, 2.0 - 8.0], atol=1e-15)
-    assert lorenz_field().rhs([1.0, 2.0, 3.0]) == dz
 
 
 def test_lorenz_equilibria():
     b, r = 8.0 / 3.0, 28.0
-    np.testing.assert_allclose(lorenz_rhs(np.zeros(3)), 0.0, atol=0)
+    f = lorenz_field().rhs
+    np.testing.assert_allclose(f(np.zeros(3)), 0.0, atol=0)
     c = np.sqrt(b * (r - 1.0))
-    np.testing.assert_allclose(lorenz_rhs(np.array([c, c, r - 1.0])), 0.0, atol=1e-13)
+    np.testing.assert_allclose(f(np.array([c, c, r - 1.0])), 0.0, atol=1e-13)
 
 
 def test_stable_linear_field_contracts():
@@ -190,7 +189,7 @@ def test_interpolated_requires_matching_dims():
 def test_autonomous_wrapper_ignores_input():
     sys = compose_autonomous(lorenz_field())
     z = [1.0, 2.0, 3.0]
-    assert sys.rhs(0.0, z, 0.0) == sys.rhs(5.0, z, 99.0) == lorenz_rhs(z)
+    assert sys.rhs(0.0, z, 0.0) == sys.rhs(5.0, z, 99.0) == lorenz_field().rhs(z)
     assert sys.z == (0, 1, 2)
     assert sys.state_names == ("z0", "z1", "z2")
 

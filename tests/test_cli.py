@@ -361,9 +361,11 @@ def test_import_loads_no_process_pool():
 
 def test_import_and_scenario_setup_compile_no_step_kernel():
     # the solver compiles its step loop on the first integrate call at each
-    # state length, so importing and building a scenario pay nothing for it
+    # state length, row and input class, so importing and building every
+    # scenario pay nothing for it
     proc = run_python("-c", "import entrain; from entrain import scenarios, solver; "
-                      "scenarios.build_system('example1'); print(solver._KERNELS)")
+                      "[scenarios.build_system(n) for n in scenarios.SCENARIO_IDS]; "
+                      "scenarios.build_reference_system('lorenz'); print(solver._KERNELS)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "{}\n"
 

@@ -1,7 +1,10 @@
 """Integrator contract: accuracy, grid handling, determinism, failure modes."""
 
+import dataclasses
 import hashlib
 import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -9,16 +12,20 @@ import pytest
 from entrain import solver
 from entrain.blocks import (
     ComposedSystem,
+    Row,
     Saturation,
     VectorField,
+    _row_rhs,
     compose_autonomous,
     compose_cascade,
     compose_example1,
     compose_example2,
+    filter_one,
     lorenz_field,
+    stable_linear_field,
 )
 from entrain.lti import LtiSystem
-from entrain.signals import Constant, Sampled, Sinusoid
+from entrain.signals import Constant, InputSignal, Sampled, Sinusoid
 from entrain.solver import (
     _DP_A,
     _DP_B5,
@@ -461,6 +468,39 @@ def _example_reference(which, K, state, u):
     return np.array([-x - u, -p + sat(y)] + z_dot)
 
 
+# The hand-written right-hand sides that the rows replaced, kept as the
+# references the rows must match bit for bit.
+
+def _lorenz_reference(z):
+    xi, psi, zeta = z
+    return [10.0 * (psi - xi), 28.0 * xi - psi - xi * zeta, xi * psi - (8.0 / 3.0) * zeta]
+
+
+def _stable_linear_reference(z):
+    xi, psi, zeta = z
+    return [10.0 * (psi - xi), -psi, -(8.0 / 3.0) * zeta]
+
+
+def _cascade_reference(filter1, sat, g1, g0=None):
+    n = filter1.n
+    A, B, C, D = filter1.A.tolist(), filter1.B.tolist(), filter1.C.tolist(), filter1.D
+
+    def rhs(t, state, u):
+        x = state[:n]
+        p = state[n]
+        z = state[n + 1:]
+        y = reduce(add, map(mul, C, x)) + D * u
+        dx = [reduce(add, map(mul, row, x)) + b * u for row, b in zip(A, B)]
+        if g0 is None:
+            dz = [p * v for v in g1(z)]
+        else:
+            q = 1.0 - p
+            dz = [p * v1 + q * v0 for v1, v0 in zip(g1(z), g0(z))]
+        return dx + [-p + sat(y)] + dz
+
+    return rhs
+
+
 def _floats(out, n):
     """``out`` as float64 bytes, after checking it is a list of n Python floats."""
     assert type(out) is list and len(out) == n
@@ -482,6 +522,80 @@ def test_example_rhs_bitwise_under_float_and_numpy_inputs():
             assert np.array(sys.rhs(0.0, state.tolist(), np.float64(u))).tobytes() == ref
             both = pair.rhs(0.0, state.tolist() * 2, u)
             assert _floats(both, 10) == 2 * ref
+
+
+# name -> (the right-hand side built from rows, the closure it replaced, the
+# state length); a field's right-hand side takes z alone
+ROW_REFERENCES = {
+    "lorenz-field": (lambda: lorenz_field().rhs, _lorenz_reference, 3),
+    "stable-linear-field": (lambda: stable_linear_field().rhs, _stable_linear_reference, 3),
+    "autonomous": (lambda: compose_autonomous(lorenz_field()).rhs,
+                   lambda t, z, u: _lorenz_reference(z), 3),
+    "general": (lambda: compose_cascade(filter_one(), Saturation(0.1), lorenz_field()).rhs,
+                _cascade_reference(filter_one(), Saturation(0.1), _lorenz_reference), 5),
+    "interp-lorenz": (
+        lambda: compose_cascade(filter_one(), Saturation(1e-4), lorenz_field(),
+                                stable_linear_field()).rhs,
+        _cascade_reference(filter_one(), Saturation(1e-4), _lorenz_reference,
+                           _stable_linear_reference), 5),
+    "two-state-filter": (
+        lambda: compose_cascade(TWO_STATE_FILTER, Saturation(0.1), lorenz_field()).rhs,
+        _cascade_reference(TWO_STATE_FILTER, Saturation(0.1), _lorenz_reference), 6),
+    # fields without a row, called from the cascade's row
+    "called-fields": (
+        lambda: compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference),
+                                VectorField(3, _stable_linear_reference)).rhs,
+        _cascade_reference(filter_one(), Saturation(0.1), _lorenz_reference,
+                           _stable_linear_reference), 5),
+}
+
+
+@pytest.mark.parametrize("case", ROW_REFERENCES)
+def test_row_matches_the_closure_it_replaced_bitwise(case):
+    # on Python floats, and on numpy scalars (an unpacked array, a np.float64
+    # input); signed zeros included
+    build, reference, dim = ROW_REFERENCES[case]
+    rhs = build()
+    field = case.endswith("-field")
+    rng = np.random.default_rng(8)
+    states = [[0.0] * dim, [-0.0] * dim]
+    states += [(rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 2, dim)).tolist()
+               for _ in range(50)]
+    for i, state in enumerate(states):
+        if field:
+            ref = np.array(reference(state)).tobytes()
+            assert _floats(rhs(state), dim) == ref
+            assert np.array(rhs(np.array(state))).tobytes() == ref
+        else:
+            u = -0.0 if i == 1 else float(rng.uniform(-10.0, 10.0))
+            ref = np.array(reference(0.0, state, u)).tobytes()
+            assert _floats(rhs(0.0, state, u), dim) == ref
+            assert np.array(rhs(0.0, np.array(state), np.float64(u))).tobytes() == ref
+
+
+def test_row_is_offered_only_when_every_part_has_one():
+    offered = [compose_example1(), compose_example2(), compose_autonomous(lorenz_field()),
+               compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
+                               stable_linear_field())]
+    for sys in offered:
+        assert len(sys.rhs.row.states) == sys.dim
+        assert len(sys.rhs.values) == len(sys.rhs.row.params)
+    called = [compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference)),
+              compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
+                              VectorField(3, _stable_linear_reference)),
+              compose_autonomous(VectorField(3, _lorenz_reference))]
+    for sys in called:
+        assert not hasattr(sys.rhs, "row")
+
+
+def test_row_rejects_reserved_and_repeated_names():
+    with pytest.raises(ValueError, match="2 expressions for 1 states"):
+        Row(("a",), ("-a", "a"))
+    for states, lets, params in [(("a", "a"), (), ()), (("u",), (), ()), (("t",), (), ()),
+                                 (("a",), (("a", "1.0"),), ()), (("a",), (), ("a",)),
+                                 (("a",), (("b, u,", "f()"),), ()), (("1a",), (), ())]:
+        with pytest.raises(ValueError, match="distinct identifiers"):
+            Row(states, ("0.0",) * len(states), lets, params)
 
 
 def test_sinusoid_returns_python_float_of_numpy_sin():
@@ -653,6 +767,13 @@ REFERENCE_CASES = {
     "two-state-filter": (_two_state_filter_cascade, Constant(7.0),
                          [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
     "lorenz": (lambda: LORENZ, U0, [1.0, 1.0, 1.0], 5.0),
+    # rows that compose_cascade writes, inlined in the loop against called
+    # by the reference
+    "general-sin": (lambda: compose_cascade(filter_one(), Saturation(0.1), lorenz_field()),
+                    Sinusoid(), EXAMPLE_X0, 10.0),
+    "interp-lorenz-sin": (lambda: compose_cascade(filter_one(), Saturation(1e-4), lorenz_field(),
+                                                  stable_linear_field()),
+                          Sinusoid(), EXAMPLE2_X0, 10.0),
 }
 
 
@@ -701,7 +822,7 @@ def test_kernel_is_compiled_once_from_its_source(n, copies):
     # (5, 2) is the Lyapunov pair of the 5-state examples
     kernel = solver._kernel(n, copies)
     assert solver._kernel(n, copies) is kernel
-    assert solver._KERNELS[n, copies] is kernel
+    assert solver._KERNELS[n, copies, None, None] is kernel
     src = solver._dp45_source(n, copies)
     assert src == solver._dp45_source(n, copies)
     # the first derivative: one input call, one RHS call per copy; then six
@@ -731,6 +852,34 @@ def test_source_is_pinned():
         src = solver._dp45_source(5, copies)
         assert hashlib.sha256(src.encode()).hexdigest() == digest
     assert solver._dp45_source(5) == solver._dp45_source(5, 1)
+    # the Lyapunov pair's loop with example1's row and its input written out
+    row = compose_example1().rhs.row
+    for signal, digest in (
+            (Sinusoid, "671078e01781d24928eaf76a5228b7fbf9c41aef712551fda623591d819ea36e"),
+            (Constant, "8a3d0243482becd923767ed84c96fe62a9d70d25a4c3a03d7d6c3f11b167a229")):
+        src = solver._dp45_source(5, 2, row, signal)
+        assert hashlib.sha256(src.encode()).hexdigest() == digest
+
+
+# (n, copies, system, input class): the loops with a row and an input
+# written out, besides the called ones
+INLINED_SOURCES = {
+    "example1-sin-2": (5, 2, compose_example1, Sinusoid),
+    "example1-const-2": (5, 2, compose_example1, Constant),
+    "example2-sin-1": (5, 1, compose_example2, Sinusoid),
+    "general-called-input-1": (5, 1, lambda: compose_cascade(
+        filter_one(), Saturation(0.1), lorenz_field()), None),
+    "interp-lorenz-const-2": (5, 2, lambda: compose_cascade(
+        filter_one(), Saturation(1e-4), lorenz_field(), stable_linear_field()), Constant),
+    "lorenz-const-2": (3, 2, lambda: compose_autonomous(lorenz_field()), Constant),
+    "called-rhs-sin-1": (3, 1, None, Sinusoid),
+}
+
+
+def _inlined_source(case):
+    n, copies, build, signal = INLINED_SOURCES[case]
+    row = None if build is None else build().rhs.row
+    return solver._dp45_source(n, copies, row, signal), row, signal
 
 
 @pytest.mark.parametrize("n, copies", [(1, 1), (3, 2), (5, 2), (64, 1)])
@@ -739,6 +888,118 @@ def test_source_has_no_template_marker_left(n, copies):
     src = solver._dp45_source(n, copies)
     for marker in ("[[", "]]", "@"):
         assert marker not in src
+
+
+@pytest.mark.parametrize("case", INLINED_SOURCES)
+def test_inlined_source_has_no_template_marker_left(case):
+    src, row, signal = _inlined_source(case)
+    for marker in ("[[", "]]", "@"):
+        assert marker not in src
+    # what is written out is no longer called; the rest still is
+    assert ("rhs(" in src) == (row is None)
+    assert ("u(t" in src) == (signal is None)
+    # parameter values are read on entry, never written into the source
+    assert ("rhs.values" in src) == (row is not None and bool(row.params))
+    compile(src, "<test>", "exec")
+
+
+class _CountedInput(InputSignal):
+    """A wrapper around an input that counts its calls, as a tracer's does."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.inner(t)
+
+
+class _LoudSinusoid(Sinusoid):
+    """A Sinusoid whose own __call__ counts its calls."""
+
+    calls = 0
+
+    def __call__(self, t):
+        type(self).calls += 1
+        return super().__call__(t)
+
+
+def _run(rhs, signal, x0, copies):
+    grid = np.linspace(0.0, 3.0, 7)
+    return solver._advance(rhs, signal, list(x0) * copies, len(x0), 0.0, 3.0,
+                           IntegratorConfig(), grid)[1]
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_inline_leaves_wrapped_callables_called(copies):
+    # a wrapper that dataclasses.replace puts in place of a bundled rhs, as a
+    # tracer does, is called once per copy for the first derivative and six
+    # times per trial step, and the run keeps the inlined run's bits
+    sys = compose_example1()
+    calls = []
+
+    def counting(t, state, u):
+        calls.append(t)
+        return sys.rhs(t, state, u)
+
+    traced = dataclasses.replace(sys, rhs=counting)
+    signal = _CountedInput(Sinusoid())
+    inlined = _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies)
+    assert _run(traced.rhs, signal, EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
+    trials = (signal.calls - 1) / 6
+    assert trials == int(trials) > 10
+    assert len(calls) == copies * (1 + 6 * trials)
+    # the same trial steps as the reference step on one copy
+    assert signal.calls == _assert_matches_reference(sys, Sinusoid(), EXAMPLE_X0, (0.0, 3.0))
+    # an input wrapper alone, and a Sinusoid subclass with its own __call__,
+    # are called in a loop that still writes the row out
+    signal = _CountedInput(Sinusoid())
+    assert _run(sys.rhs, signal, EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
+    assert signal.calls == 1 + 6 * trials
+    _LoudSinusoid.calls = 0
+    assert _run(sys.rhs, _LoudSinusoid(), EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
+    assert _LoudSinusoid.calls == 1 + 6 * trials
+    assert (5, copies, sys.rhs.row, None) in solver._KERNELS
+    assert (5, copies, None, None) in solver._KERNELS
+
+
+def test_inline_row_of_another_length_is_called():
+    # a row describes one copy of its own length; with more state names the
+    # row is not written out, and its right-hand side's unpack fails
+    sys = dataclasses.replace(compose_example1(), state_names=("a",) * 6)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        integrate(sys, Sinusoid(), np.ones(6), (0.0, 1.0))
+
+
+def test_inline_kernels_do_not_grow_with_parameter_values(monkeypatch):
+    # K, the constant level and the sinusoid's parameters are read when the
+    # loop is entered: one kernel per (n, copies, row, input class)
+    monkeypatch.setattr(solver, "_KERNELS", {})
+    x0 = np.array(EXAMPLE_X0)
+    for K in (0.1, 0.5, 3.0):
+        for compose in (compose_example1, compose_example2):
+            for signal in (Constant(-1.0), Constant(4.5), Sinusoid(), Sinusoid(2.0, 1.5, 0.3)):
+                integrate(compose(K), signal, x0, (0.0, 0.5))
+                _run(compose(K).rhs, signal, EXAMPLE_X0, 2)
+    rows = {compose_example1(7.0).rhs.row, compose_example2(7.0).rhs.row}
+    assert set(solver._KERNELS) == {(5, copies, row, signal) for copies in (1, 2)
+                                    for row in rows for signal in (Constant, Sinusoid)}
+    for K in (0.1, 2.0):
+        sys = compose_cascade(filter_one(), Saturation(K), lorenz_field())
+        integrate(sys, Sinusoid(amplitude=K), x0, (0.0, 0.5))
+    assert len(solver._KERNELS) == 9
+
+
+def test_inline_row_names_cannot_meet_the_loop_locals():
+    # states and lets named like the loop's own locals (y, h, k, v, the
+    # tableau's a10 and the stage component k0_0) are prefixed in the loop
+    row = Row(("y", "h", "k"), ("-y + s * h", "-h - v + k0_0", "-a10 * k + y"),
+              (("s", "0.5 * u"), ("v", "0.1 * y"), ("k0_0", "h * h")), ("a10",))
+    sys = ComposedSystem(_row_rhs(row, (2.0,)), ("y", "h", "k"))
+    for copies in (1, 2):
+        _assert_matches_reference(sys, Sinusoid(), [1.0, -0.5, 0.25] * copies, (0.0, 5.0),
+                                  output_grid=np.linspace(0.0, 5.0, 11))
+        assert (3, copies, row, Sinusoid) in solver._KERNELS
 
 
 @pytest.mark.parametrize("turn", ["non-finite", "raises"])
