@@ -8,15 +8,13 @@ dz/dt = f(z).
 
 Every bundled right-hand side is written once, as data: a ``Row`` of
 expression strings, one per state, over named states, the input ``u`` and
-named parameters. ``compose_example1`` and ``compose_example2`` are the two
-concrete 5-state instances used throughout, one row each (the second
-replaces the overall p factor with p-modulated coefficients so that p = 0
-leaves a stable linear system). ``lorenz_field`` and
-``stable_linear_field`` are rows over (xi, psi, zeta), and
-``compose_autonomous`` reuses its field's row. ``compose_cascade`` writes
-the same cascade around arbitrary ingredient blocks as a row of its own;
-with the bundled blocks it reproduces example1 bit for bit and example2 to
-rounding.
+named parameters. ``lorenz_field`` and ``stable_linear_field`` are rows over
+(xi, psi, zeta), and ``compose_autonomous`` reuses its field's row.
+``compose_cascade`` writes the cascade around arbitrary blocks as one row,
+with the filter's entries as numbers in it. The two concrete 5-state systems
+are cascades too: ``compose_example1`` is ``compose_cascade`` around
+``filter_one()`` and the Lorenz field, and ``compose_example2`` puts the same
+front before p-modulated Lorenz coefficients, so p = 0 leaves a stable field.
 
 A row becomes the ``rhs`` it describes when the block is built. That
 function carries the row and its parameter values as its ``row`` and
@@ -24,20 +22,18 @@ function carries the row and its parameter values as its ``row`` and
 it may write the row out in place of the call; a wrapper around it carries
 neither and is called. A vector field without a row, such as a user's
 function, keeps the call: ``compose_autonomous`` calls it, and
-``compose_cascade`` writes one call to it into its row and offers that row
-to no one.
+``compose_cascade`` makes it a parameter that its row calls.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
-returns a new list (see ``ComposedSystem`` and ``VectorField``).
-``compose_cascade`` reads the filter's matrices into Python floats once, when
-it builds the system, so no right-hand side calls numpy.
+returns a new list (see ``ComposedSystem`` and ``VectorField``); none
+calls numpy.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
 
@@ -156,13 +152,11 @@ def _binder(row: Row, args: str):
     return ns["bind"]
 
 
-def _row_rhs(row: Row, values=(), args: str = "t, state, u", offer: bool = True):
-    """``row`` compiled as ``rhs(args)`` with its params bound to ``values``;
-    with ``offer``, the function carries ``row`` and ``values`` for the
-    solver's step loop to write out."""
+def _row_rhs(row: Row, values=(), args: str = "t, state, u"):
+    """``row`` compiled as ``rhs(args)`` with its params bound to ``values``,
+    carrying ``row`` and ``values`` for the solver's step loop to write out."""
     rhs = _binder(row, args)(*values)
-    if offer:
-        rhs.row, rhs.values = row, tuple(values)
+    rhs.row, rhs.values = row, tuple(values)
     return rhs
 
 
@@ -239,20 +233,12 @@ def filter_one() -> LtiSystem:
     return LtiSystem(A=[[-1.0]], B=[-1.0], C=[1.0], D=1.0)
 
 
-# column names of the two concrete 5-state examples, and where z sits
+# column names of the two concrete 5-state examples
 EXAMPLE_STATE_NAMES = ("x", "p", "xi", "psi", "zeta")
-_EXAMPLE_Z = (2, 3, 4)
-# the front end both examples share: dx = -x - u, dp = -p + alpha(x + u)
-_EXAMPLE_LETS = (("y", "x + u"), ("y2", "y * y"))
-_EXAMPLE_FRONT = ("-x - u", "-p + y2 / (K + y2)")
-_EXAMPLE1 = Row(EXAMPLE_STATE_NAMES, _EXAMPLE_FRONT + (
-    "p * (10.0 * (psi - xi))",
-    "p * (28.0 * xi - psi - xi * zeta)",
-    "p * (xi * psi - (8.0 / 3.0) * zeta)"), _EXAMPLE_LETS, ("K",))
-_EXAMPLE2 = Row(EXAMPLE_STATE_NAMES, _EXAMPLE_FRONT + (
-    "10.0 * (psi - xi)",
-    "28.0 * p * xi - psi - p * xi * zeta",
-    "p * xi * psi - (8.0 / 3.0) * zeta"), _EXAMPLE_LETS, ("K",))
+# example2's z block, in which p modulates the Lorenz coefficients
+_EXAMPLE2_Z = ("10.0 * (psi - xi)",
+               "28.0 * p * xi - psi - p * xi * zeta",
+               "p * xi * psi - (8.0 / 3.0) * zeta")
 
 
 def compose_example1(K: float = 0.1) -> ComposedSystem:
@@ -263,9 +249,12 @@ def compose_example1(K: float = 0.1) -> ComposedSystem:
         dxi   = p 10 (psi - xi)
         dpsi  = p (28 xi - psi - xi zeta)
         dzeta = p (xi psi - (8/3) zeta)
+
+    It is ``compose_cascade(filter_one(), Saturation(K), lorenz_field())``
+    with the columns named ``EXAMPLE_STATE_NAMES``.
     """
-    return ComposedSystem(_row_rhs(_EXAMPLE1, (Saturation(K).K,)), EXAMPLE_STATE_NAMES,
-                          _EXAMPLE_Z)
+    sys = compose_cascade(filter_one(), Saturation(K), lorenz_field())
+    return replace(sys, state_names=EXAMPLE_STATE_NAMES)
 
 
 def compose_example2(K: float = 1e-4) -> ComposedSystem:
@@ -280,8 +269,7 @@ def compose_example2(K: float = 1e-4) -> ComposedSystem:
     At p = 0 the (xi, psi, zeta) block is a stable linear system; at p = 1 it
     is the Lorenz system with the default parameters.
     """
-    return ComposedSystem(_row_rhs(_EXAMPLE2, (Saturation(K).K,)), EXAMPLE_STATE_NAMES,
-                          _EXAMPLE_Z)
+    return _cascade(filter_one(), Saturation(K), EXAMPLE_STATE_NAMES[2:], _EXAMPLE2_Z)
 
 
 def _check_filter(filter1: LtiSystem) -> None:
@@ -297,6 +285,38 @@ def _check_filter(filter1: LtiSystem) -> None:
         )
 
 
+def _dot(coeffs, names) -> str:
+    """``c0 * a0 + c1 * a1 + ...`` with no 0.0 start, so a -0.0 survives; each
+    ``c`` is its ``repr``, which round-trips, and an exact 1.0 or -1.0 makes
+    ``a`` or ``-a`` (``... - a``), which rounds as the product does."""
+    text = ""
+    for c, a in zip(coeffs, names):
+        term = a if abs(c) == 1.0 else f"{c!r} * {a}"
+        if c == -1.0:
+            text += f" - {term}" if text else f"-{term}"
+        else:
+            text += f" + {term}" if text else term
+    return text
+
+
+def _cascade(filter1: LtiSystem, sat: Saturation, zs, dz, lets=(), params=None) -> ComposedSystem:
+    """The cascade as one row over the filter's states ``x`` (or ``x0, x1,
+    ...``), ``p`` and the z block's ``zs``, whose derivatives are ``dz``. Its
+    lets are ``y``, ``y2 = y * y``, then the z block's ``lets``; its params
+    are ``K``, then the z block's ``params`` (name -> value)."""
+    _check_filter(filter1)
+    n = filter1.n
+    xs = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
+    dx = tuple(_dot([*row, b], [*xs, "u"])
+               for row, b in zip(filter1.A.tolist(), filter1.B.tolist()))
+    y = _dot([*filter1.C.tolist(), filter1.D], [*xs, "u"])
+    params = {"K": sat.K, **(params or {})}
+    row = Row(xs + ("p",) + tuple(zs), dx + ("-p + y2 / (K + y2)",) + tuple(dz),
+              (("y", y), ("y2", "y * y"), *lets), tuple(params))
+    return ComposedSystem(_row_rhs(row, tuple(params.values())), row.states,
+                          tuple(range(n + 1, n + 1 + len(zs))))
+
+
 def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
                     f0: VectorField | None = None) -> ComposedSystem:
     """Assemble the full cascade around arbitrary blocks: dz = p f1(z), or
@@ -305,39 +325,20 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
     With ``f0``, constant inputs drive p to 0 and hand z to f0; a sinusoid
     keeps p near 1 and hands z to f1.
 
-    The system's right-hand side is one row: the filter's states ``x`` (or
-    ``x0, x1, ...``), then ``p``, then ``z0, z1, ...``, with each entry of
-    A, B, C and D a parameter. A field with a row has its expressions
-    written in; a field without one is called once per evaluation, and then
-    the row is not offered to the step loop.
+    The right-hand side is one row over ``x`` (or ``x0, x1, ...``), ``p`` and
+    ``z0, z1, ...``, with each entry of A, B, C and D a number in it. A field's
+    row is written in; a field without one is a parameter the row calls.
     """
     if f0 is not None and f0.dim != f1.dim:
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")
-    _check_filter(filter1)
-    n, zdim = filter1.n, f1.dim
-    xs = ("x",) if n == 1 else tuple(f"x{i}" for i in range(n))
-    zs = tuple(f"z{i}" for i in range(zdim))
-    params = {}
-
-    def term(name, value, a):
-        params[name] = value
-        return f"{name} * {a}"
-
-    # each sum runs left to right from its first product, with no 0.0
-    # start, so a -0.0 survives as it does in example1's -x - u
-    dx = tuple(" + ".join([*(term(f"A{i}_{j}", c, a) for j, (c, a) in enumerate(zip(row, xs))),
-                           term(f"B{i}", b, "u")])
-               for i, (row, b) in enumerate(zip(filter1.A.tolist(), filter1.B.tolist())))
-    y = " + ".join([*(term(f"C{j}", c, a) for j, (c, a) in enumerate(zip(filter1.C.tolist(), xs))),
-                    term("D", filter1.D, "u")])
-    lets = [("y", y), ("y2", "y * y")]
-    params["K"] = sat.K
+    zs = tuple(f"z{i}" for i in range(f1.dim))
+    lets, params = [], {}
 
     def field(f, tag):
         row = getattr(f.rhs, "row", None)
         if row is None:  # one call, unpacked into the field's components
             params[tag] = f.rhs
-            out = tuple(f"{tag}_{i}" for i in range(zdim))
+            out = tuple(f"{tag}_{i}" for i in range(f.dim))
             lets.append((", ".join(out) + ",", f"{tag}([{', '.join(zs)}])"))
             return out
         names = {a: f"{tag}_{a}" for a in row.names}
@@ -354,11 +355,7 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
         g0 = field(f0, "f0")
         lets.append(("q", "1.0 - p"))
         dz = tuple(f"p * ({a}) + q * ({b})" for a, b in zip(g1, g0))
-    row = Row(xs + ("p",) + zs, dx + ("-p + y2 / (K + y2)",) + dz, tuple(lets),
-              tuple(params))
-    offer = all(hasattr(f.rhs, "row") for f in (f1, f0) if f is not None)
-    rhs = _row_rhs(row, tuple(params.values()), offer=offer)
-    return ComposedSystem(rhs, row.states, tuple(range(n + 1, n + 1 + zdim)))
+    return _cascade(filter1, sat, zs, dz, lets, params)
 
 
 def compose_autonomous(field: VectorField) -> ComposedSystem:

@@ -132,10 +132,10 @@ _MAX_FACTOR = 5.0
 _H_INIT = 1e-3
 _H_MIN = 1e-12
 _H_MAX = 0.1
-# The bundled scenarios take about 110 trial steps per unit of time at the
-# default tolerances and under 700 at rel_tol = 1e-12; a run that needs
-# 10,000 is crawling, as a product-form cascade with p < 0 does (it runs its
-# field backward in time).
+# Under sin t over [0, 50], the bundled scenarios take at most 111 trial
+# steps per unit of time at the default tolerances and 657 at rel_tol = 1e-12,
+# abs_tol = 1e-14; a run that needs 10,000 is crawling, as a product-form
+# cascade with p < 0 does (it runs its field backward in time).
 _MAX_STEPS_PER_UNIT = 10_000
 _WRONG_LENGTH = "the right-hand side returned a vector of length {} for a state of length {}"
 
@@ -267,7 +267,8 @@ def _dp45_source(n, copies=1, row=None, signal=None):
     the row's parameters are bound from ``rhs.values`` on entry. With a
     ``signal`` class, each ``v = u(ts)`` becomes the class's ``expr``, its
     fields bound from ``u`` on entry; an ``expr`` without ``t`` is evaluated
-    once, there. ``print(_dp45_source(5, 2, compose_example1().rhs.row,
+    once, there, and if the row reads no ``t`` either, no stage time ``ts``
+    is computed. ``print(_dp45_source(5, 2, compose_example1().rhs.row,
     Sinusoid))`` shows the pair's loop for example1 under a sinusoid.
     """
     def each(text, sep, idx):
@@ -305,6 +306,8 @@ def _dp45_source(n, copies=1, row=None, signal=None):
         else:  # the same value at every stage
             src = re.sub(r"^ +v = u\(\w+\)\n", "", src, flags=re.M)
             entry.append(f"v = {_rename(signal.expr, names)}")
+    rest = re.sub(r"^ +ts = .*\n", "", src, flags=re.M)
+    src = src if "ts" in _NAME.findall(rest) else rest  # drop unread stage times
     head, body = src.split("\n", 1)
     return expand("".join([head, "\n", *(f"    {line}\n" for line in entry), body]),
                   range(n * copies))

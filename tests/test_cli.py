@@ -87,6 +87,18 @@ def test_gridded_simulate_csv_bytes_are_pinned(tmp_path):
         "b57dab5d76302f5d8525fec9a03c4efeb45ee7d6a735987c90cd770adf4f9076")
 
 
+def test_general_and_example1_write_the_same_csv_rows(tmp_path):
+    # example1 is the general cascade with its columns renamed
+    args = ["simulate", "--input", "sin:1:1", "--t-end", "10", "--grid-step", "0.05"]
+    for name in ("general", "example1"):
+        assert main(args + ["--scenario", name, "--out-dir", str(tmp_path / name)]) == 0
+    general, example1 = (read(tmp_path / name / "trajectory.csv").split(b"\n", 1)
+                         for name in ("general", "example1"))
+    assert general[0] == b"t,x,p,z0,z1,z2"
+    assert example1[0] == b"t,x,p,xi,psi,zeta"
+    assert general[1] == example1[1]
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path):
     rng = np.random.default_rng(17)
     states = rng.standard_normal((200, 5)) * 10.0 ** rng.integers(-20, 20, (200, 5))

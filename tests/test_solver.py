@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from functools import reduce
 from operator import add, mul
@@ -11,6 +12,7 @@ import pytest
 
 from entrain import solver
 from entrain.blocks import (
+    _NAME,
     ComposedSystem,
     Row,
     Saturation,
@@ -56,6 +58,9 @@ BLOWUP = compose_autonomous(VectorField(1, lambda z: [v * v for v in z]))
 U0 = Constant(0.0)
 # W(s) = s / ((s + 1)(s + 2)), as in test_blocks
 TWO_STATE_FILTER = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[0.0, 1.0], D=0.0)
+# Hurwitz with W(0) = 0, and every entry but A's 0.0 and -2.0 exactly 1 or
+# -1, which the cascade's row writes as a bare name
+FOLDED_FILTER = LtiSystem(A=[[-1, 1], [0, -2]], B=[1, -1], C=[1, -1], D=-1)
 
 
 def test_config_validation():
@@ -541,6 +546,9 @@ ROW_REFERENCES = {
     "two-state-filter": (
         lambda: compose_cascade(TWO_STATE_FILTER, Saturation(0.1), lorenz_field()).rhs,
         _cascade_reference(TWO_STATE_FILTER, Saturation(0.1), _lorenz_reference), 6),
+    "folded-filter": (
+        lambda: compose_cascade(FOLDED_FILTER, Saturation(0.1), lorenz_field()).rhs,
+        _cascade_reference(FOLDED_FILTER, Saturation(0.1), _lorenz_reference), 6),
     # fields without a row, called from the cascade's row
     "called-fields": (
         lambda: compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference),
@@ -571,21 +579,68 @@ def test_row_matches_the_closure_it_replaced_bitwise(case):
             ref = np.array(reference(0.0, state, u)).tobytes()
             assert _floats(rhs(0.0, state, u), dim) == ref
             assert np.array(rhs(0.0, np.array(state), np.float64(u))).tobytes() == ref
+    # every pattern of signed zeros over the state and the input
+    for *state, u in itertools.product((0.0, -0.0), repeat=dim + 1):
+        ref = reference(state) if field else reference(0.0, state, u)
+        out = rhs(state) if field else rhs(0.0, state, u)
+        assert _floats(out, dim) == np.array(ref).tobytes()
 
 
-def test_row_is_offered_only_when_every_part_has_one():
+def test_row_is_offered_by_every_composed_system():
+    # a cascade around a field without a row offers its row too, with the
+    # field a parameter of it; only compose_autonomous of such a field, and
+    # a hand-built system, are called
     offered = [compose_example1(), compose_example2(), compose_autonomous(lorenz_field()),
                compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
-                               stable_linear_field())]
+                               stable_linear_field()),
+               compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference)),
+               compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
+                               VectorField(3, _stable_linear_reference))]
     for sys in offered:
         assert len(sys.rhs.row.states) == sys.dim
         assert len(sys.rhs.values) == len(sys.rhs.row.params)
-    called = [compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference)),
-              compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
-                              VectorField(3, _stable_linear_reference)),
-              compose_autonomous(VectorField(3, _lorenz_reference))]
+    called = [compose_autonomous(VectorField(3, _lorenz_reference)),
+              ComposedSystem(lambda t, state, u: [-v for v in state], ("a",))]
     for sys in called:
         assert not hasattr(sys.rhs, "row")
+    # example1 is the general cascade; only K is a parameter of its row, and
+    # the filter's entries are numbers in it, exact 1s and -1s folded
+    for K in (0.1, 2.5):
+        row = compose_example1(K).rhs.row
+        assert row == compose_cascade(filter_one(), Saturation(K), lorenz_field()).rhs.row
+        assert compose_example1(K).rhs.values == (K,)
+    assert row.params == ("K",)
+    assert row.exprs[0] == "-x - u" and row.lets[0] == ("y", "x + u")
+    row = compose_cascade(FOLDED_FILTER, Saturation(0.1), lorenz_field()).rhs.row
+    assert row.exprs[:2] == ("-x0 + x1 + u", "0.0 * x0 + -2.0 * x1 - u")
+    assert row.lets[0] == ("y", "x0 - x1 - u")
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_inline_cascade_calls_a_field_without_a_row(copies):
+    # the loop writes the cascade's row out and calls the field from it, once
+    # per stage and copy; the run keeps the bits of the compiled rhs, called
+    calls = []
+
+    def field(z):
+        calls.append(z)
+        return _lorenz_reference(z)
+
+    sys = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, field))
+    src = solver._dp45_source(5, copies, sys.rhs.row, Sinusoid)
+    assert "rhs(" not in src
+    assert src.count("r_f1([") == 7 * copies
+    written = _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies)
+    n_written = len(calls)
+    del calls[:]
+    signal = _CountedInput(Sinusoid())
+    called = _run(lambda t, state, u: sys.rhs(t, state, u), signal, EXAMPLE_X0, copies)
+    assert called.tobytes() == written.tobytes()
+    assert len(calls) == n_written == copies * signal.calls
+    # a field result of the wrong length fails its unpack inside the row
+    bad = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, lambda z: [0.0] * 4))
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        _run(bad.rhs, Sinusoid(), EXAMPLE_X0, copies)
 
 
 def test_row_rejects_reserved_and_repeated_names():
@@ -756,6 +811,8 @@ def _two_state_filter_cascade():
 
 EXAMPLE_X0 = [5.0, 0.0, 1.0, 0.0, 0.0]
 EXAMPLE2_X0 = [2.95, -0.98, 0.94, -4.07, 4.89]
+# a row that reads t, as no bundled row does
+_READS_T = ComposedSystem(_row_rhs(Row(("a",), ("u * t - a",))), ("a",))
 REFERENCE_CASES = {
     "example1-const": (compose_example1, Constant(10.0), EXAMPLE_X0, 10.0),
     "example1-sin": (compose_example1, Sinusoid(), EXAMPLE_X0, 10.0),
@@ -766,6 +823,10 @@ REFERENCE_CASES = {
                       EXAMPLE_X0 + [5.0, 0.0, 1.0 + 1e-8, 0.0, 0.0], 5.0),
     "two-state-filter": (_two_state_filter_cascade, Constant(7.0),
                          [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
+    "folded-filter": (lambda: compose_cascade(FOLDED_FILTER, Saturation(0.1), lorenz_field()),
+                      Sinusoid(), [0.5, -1.0, 0.25, 1.0, 2.0, 3.0], 10.0),
+    # a row that reads t under a constant input keeps the stage times
+    "row-reads-t": (lambda: _READS_T, Constant(2.0), [1.0], 5.0),
     "lorenz": (lambda: LORENZ, U0, [1.0, 1.0, 1.0], 5.0),
     # rows that compose_cascade writes, inlined in the loop against called
     # by the reference
@@ -855,8 +916,8 @@ def test_source_is_pinned():
     # the Lyapunov pair's loop with example1's row and its input written out
     row = compose_example1().rhs.row
     for signal, digest in (
-            (Sinusoid, "671078e01781d24928eaf76a5228b7fbf9c41aef712551fda623591d819ea36e"),
-            (Constant, "8a3d0243482becd923767ed84c96fe62a9d70d25a4c3a03d7d6c3f11b167a229")):
+            (Sinusoid, "6fa63b0a787d71f9d5c51ae2d931e39dcb9588bd9c4be5e5d807686b85e880e1"),
+            (Constant, "0f96c96b2fcdcdd9b80634eb9eeff80e66b43e1fb4740c1a63f2c19e3634f608")):
         src = solver._dp45_source(5, 2, row, signal)
         assert hashlib.sha256(src.encode()).hexdigest() == digest
 
@@ -873,6 +934,7 @@ INLINED_SOURCES = {
         filter_one(), Saturation(1e-4), lorenz_field(), stable_linear_field()), Constant),
     "lorenz-const-2": (3, 2, lambda: compose_autonomous(lorenz_field()), Constant),
     "called-rhs-sin-1": (3, 1, None, Sinusoid),
+    "reads-t-const-1": (1, 1, lambda: _READS_T, Constant),
 }
 
 
@@ -900,6 +962,9 @@ def test_inlined_source_has_no_template_marker_left(case):
     assert ("u(t" in src) == (signal is None)
     # parameter values are read on entry, never written into the source
     assert ("rhs.values" in src) == (row is not None and bool(row.params))
+    # the stage times are computed only where something reads them
+    reads_t = row is None or signal is not Constant or "t" in _NAME.findall(" ".join(row.exprs))
+    assert src.count("ts = t + c") == 6 * reads_t
     compile(src, "<test>", "exec")
 
 
@@ -984,10 +1049,11 @@ def test_inline_kernels_do_not_grow_with_parameter_values(monkeypatch):
     rows = {compose_example1(7.0).rhs.row, compose_example2(7.0).rhs.row}
     assert set(solver._KERNELS) == {(5, copies, row, signal) for copies in (1, 2)
                                     for row in rows for signal in (Constant, Sinusoid)}
+    # the general cascade's row is example1's, so it adds no kernel
     for K in (0.1, 2.0):
         sys = compose_cascade(filter_one(), Saturation(K), lorenz_field())
         integrate(sys, Sinusoid(amplitude=K), x0, (0.0, 0.5))
-    assert len(solver._KERNELS) == 9
+    assert len(solver._KERNELS) == 8
 
 
 def test_inline_row_names_cannot_meet_the_loop_locals():
