@@ -19,10 +19,12 @@ front before p-modulated Lorenz coefficients, so p = 0 leaves a stable field.
 A row becomes the ``rhs`` it describes when the block is built. That
 function carries the row and its parameter values as its ``row`` and
 ``values`` attributes, and so tells the solver's generated step loop that
-it may write the row out in place of the call; a wrapper around it carries
-neither and is called. A vector field without a row, such as a user's
-function, keeps the call: ``compose_autonomous`` calls it, and
-``compose_cascade`` makes it a parameter that its row calls.
+it may write the row out in place of the call. Only a function built here
+is written out (``_row_of``): a wrapper around it is called, even one made
+by ``functools.wraps`` or that forwards attribute lookups. A vector field
+without a row, such as a user's function, keeps the call:
+``compose_autonomous`` calls it, and ``compose_cascade`` makes it a
+parameter that its row calls.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
@@ -33,6 +35,7 @@ calls numpy.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
@@ -152,12 +155,23 @@ def _binder(row: Row, args: str):
     return ns["bind"]
 
 
+# id -> every rhs that ``_row_rhs`` built and that is still alive
+_BUILT = weakref.WeakValueDictionary()
+
+
 def _row_rhs(row: Row, values=(), args: str = "t, state, u"):
     """``row`` compiled as ``rhs(args)`` with its params bound to ``values``,
     carrying ``row`` and ``values`` for the solver's step loop to write out."""
     rhs = _binder(row, args)(*values)
     rhs.row, rhs.values = row, tuple(values)
+    _BUILT[id(rhs)] = rhs
     return rhs
+
+
+def _row_of(fn):
+    """``fn.row`` if ``_row_rhs`` built ``fn`` itself, else None; None too for
+    a wrapper that copied a built function's attributes or forwards to one."""
+    return fn.row if _BUILT.get(id(fn)) is fn else None
 
 
 @dataclass(frozen=True)
@@ -277,7 +291,7 @@ def _check_filter(filter1: LtiSystem) -> None:
         raise ValueError(
             "front-end filter must be Hurwitz, otherwise constant inputs never settle"
         )
-    if not has_zero_at_origin(filter1, tol=1e-9):
+    if not has_zero_at_origin(filter1):
         raise ValueError(
             "front-end filter must have a transfer-function zero at s=0 "
             f"(|W(0)| = {abs(transfer_eval(filter1, 0.0)):.3e}); without it the "
@@ -335,7 +349,7 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
     lets, params = [], {}
 
     def field(f, tag):
-        row = getattr(f.rhs, "row", None)
+        row = _row_of(f.rhs)
         if row is None:  # one call, unpacked into the field's components
             params[tag] = f.rhs
             out = tuple(f"{tag}_{i}" for i in range(f.dim))
@@ -364,7 +378,7 @@ def compose_autonomous(field: VectorField) -> ComposedSystem:
     Used for reference runs such as the plain Lorenz attractor (p fixed at 1).
     A field with a row gives the system that row; any other field is called.
     """
-    row = getattr(field.rhs, "row", None)
+    row = _row_of(field.rhs)
     if row is not None:
         rhs = _row_rhs(row, field.rhs.values)
     else:

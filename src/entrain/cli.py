@@ -39,7 +39,8 @@ from .diagnostics import (
     tail_stats,
 )
 from .lti import has_zero_at_origin, sinusoid_steady_state, transfer_eval
-from .scenarios import SCENARIO_IDS, build_reference_system, build_system, default_spec
+from .scenarios import (DEFAULT_INPUT, DEFAULT_T_END, SCENARIO_IDS, build_reference_system,
+                        build_system, default_spec)
 from .signals import parse_input_spec
 from .solver import IntegrationError, IntegratorConfig, Trajectory, integrate, uniform_grid
 
@@ -156,10 +157,10 @@ def _cmd_simulate(args) -> int:
     params = {
         "scenario": args.scenario,
         "K": spec.K if args.K is None else args.K,
-        "input": spec.input_spec if args.input is None else args.input,
+        "input": DEFAULT_INPUT if args.input is None else args.input,
         "x0": list(spec.x0) if args.x0 is None else list(_parse_x0(args.x0)),
         "t_start": args.t_start,
-        "t_end": spec.t_end if args.t_end is None else args.t_end,
+        "t_end": DEFAULT_T_END if args.t_end is None else args.t_end,
         "grid_step": args.grid_step,
         "rel_tol": args.rel_tol,
         "abs_tol": args.abs_tol,
@@ -182,10 +183,9 @@ def _cmd_lyapunov(args) -> int:
         sys_obj, x0_default = build_reference_system(args.system)
         signal = parse_input_spec("const:0")
     else:
-        spec = default_spec(args.scenario)
         sys_obj = build_system(args.scenario, K=args.K)
-        x0_default = spec.x0
-        signal = parse_input_spec(spec.input_spec if args.input is None else args.input)
+        x0_default = default_spec(args.scenario).x0
+        signal = parse_input_spec(DEFAULT_INPUT if args.input is None else args.input)
     x0 = x0_default if args.x0 is None else _parse_x0(args.x0)
 
     est = lyapunov_max(sys_obj, signal, x0, cfg)
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--x0", default=None, help="comma-separated initial state")
     sim.add_argument("--t-start", type=float, default=0.0)
     sim.add_argument("--t-end", type=float, default=None,
-                     help="end of the run (default: scenario preset, 200)")
+                     help=f"end of the run (default: {DEFAULT_T_END:g})")
     sim.add_argument("--grid-step", type=float, default=0.01)
     sim.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset)")
@@ -264,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--system", choices=("lorenz",),
                         help="bare reference system instead of a scenario")
     lya.add_argument("--input", default=None,
-                     help="input spec (default: the scenario preset); "
-                          "not with --system")
+                     help=f"input spec (default: {DEFAULT_INPUT}); not with --system")
     lya.add_argument("--x0", default=None)
     lya.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset); "

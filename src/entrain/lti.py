@@ -27,6 +27,7 @@ __all__ = [
 _SINGULARITY_TOL = 1e-12
 # Hurwitz means every eigenvalue real part below this margin
 _HURWITZ_MARGIN = -1e-9
+_ZERO_TOL = 1e-9  # a zero at the origin is |W(0)| at most this
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,10 @@ def transfer_eval(sys: LtiSystem, s: complex) -> complex:
     return complex(sys.C @ v + sys.D)
 
 
-def has_zero_at_origin(sys: LtiSystem, tol: float = 1e-12) -> bool:
-    """True iff |W(0)| <= tol. Raises if 0 is an eigenvalue of A."""
-    return abs(transfer_eval(sys, 0.0)) <= tol
+def has_zero_at_origin(sys: LtiSystem) -> bool:
+    """True iff |W(0)| <= 1e-9, the bound ``compose_cascade`` enforces.
+    Raises if 0 is an eigenvalue of A."""
+    return abs(transfer_eval(sys, 0.0)) <= _ZERO_TOL
 
 
 def sinusoid_steady_state(sys: LtiSystem, omega: float) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Named scenario presets: canonical systems, initial conditions, inputs.
 
-Each preset bundles everything a demo run needs — how to build the
-composed system, its saturation constant, the reference initial state, a
-default input and horizon — in one table row, so the standard experiments
-are one command. Every bundled scenario puts the same front end,
+Each preset is one table row of what varies between scenarios: the
+saturation constant, the reference initial state and how to build the
+composed system. Every scenario runs the same default input,
+``DEFAULT_INPUT``, up to ``DEFAULT_T_END``, and puts the same front end,
 ``filter_one()``, before the saturation.
 """
 
@@ -28,6 +28,8 @@ from .blocks import (
 __all__ = [
     "ScenarioSpec",
     "SCENARIO_IDS",
+    "DEFAULT_INPUT",
+    "DEFAULT_T_END",
     "build_system",
     "build_reference_system",
     "default_spec",
@@ -36,18 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully-specified run: system recipe plus run defaults.
+    """A scenario's saturation constant, reference initial state and system.
 
     ``compose(K)`` builds the scenario's system for a saturation constant;
     every row uses the classic Lorenz parameters.
     """
 
-    scenario_id: str
     K: float
     x0: tuple[float, ...]
     compose: Callable[[float], ComposedSystem]
-    input_spec: str = "sin:1:1"
-    t_end: float = 200.0
 
 
 def _interp_lorenz(K: float) -> ComposedSystem:
@@ -64,13 +63,16 @@ def _general(K: float) -> ComposedSystem:
 # canonical starting point used throughout the docs and tests.
 _X0_EXAMPLE1 = (5.0, 0.0, 1.0, 0.0, 0.0)
 _X0_EXAMPLE2 = (2.95, -0.98, 0.94, -4.07, 4.89)
+# every scenario's input and horizon unless a run names its own
+DEFAULT_INPUT = "sin:1:1"
+DEFAULT_T_END = 200.0
 
-_SCENARIOS = {spec.scenario_id: spec for spec in (
-    ScenarioSpec("example1", 0.1, _X0_EXAMPLE1, compose_example1),
-    ScenarioSpec("example2", 1e-4, _X0_EXAMPLE2, compose_example2),
-    ScenarioSpec("interp-lorenz", 1e-4, _X0_EXAMPLE2, _interp_lorenz),
-    ScenarioSpec("general", 0.1, _X0_EXAMPLE1, _general),
-)}
+_SCENARIOS = {
+    "example1": ScenarioSpec(0.1, _X0_EXAMPLE1, compose_example1),
+    "example2": ScenarioSpec(1e-4, _X0_EXAMPLE2, compose_example2),
+    "interp-lorenz": ScenarioSpec(1e-4, _X0_EXAMPLE2, _interp_lorenz),
+    "general": ScenarioSpec(0.1, _X0_EXAMPLE1, _general),
+}
 
 SCENARIO_IDS = tuple(_SCENARIOS)
 

@@ -10,6 +10,7 @@ integrations.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,11 +156,15 @@ def parse_input_spec(spec: str) -> InputSignal:
         phase = nums[2] if len(nums) == 3 else 0.0
         return Sinusoid(amplitude=nums[0], omega=nums[1], phase=phase)
     if kind == "file":
-        try:
-            data = np.loadtxt(rest, delimiter=",", ndmin=2)
-        except ValueError:
-            # tolerate a header row such as "t,u"
-            data = np.loadtxt(rest, delimiter=",", ndmin=2, skiprows=1)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data rows; the check below says so
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(rest, delimiter=",", ndmin=2)
+            except ValueError:  # tolerate a header row such as "t,u"
+                data = np.loadtxt(rest, delimiter=",", ndmin=2, skiprows=1)
+        if data.size == 0:
+            raise ValueError(f"input file {rest!r} has no data rows")
         if data.shape[1] != 2:
             raise ValueError(f"input file {rest!r} must have two columns t,u")
         return Sampled(times=data[:, 0], values=data[:, 1], source=spec)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _NAME, ComposedSystem, _rename
+from .blocks import _NAME, ComposedSystem, _rename, _row_of
 from .signals import InputSignal
 
 __all__ = [
@@ -219,12 +219,12 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
     Returns the times and state rows at ``grid``, or at every internal step
     when ``grid`` is None.
 
-    The loop writes out what the callables say of themselves: the row that a
-    right-hand side compiled from one carries (``blocks.Row``), and the
-    ``expr`` that the input's own class defines. Anything else, a wrapper
-    included, is called.
+    The loop writes out what the callables say of themselves: the row of a
+    right-hand side that ``blocks`` compiled from one (``blocks._row_of``),
+    and the ``expr`` that the input's own class defines. Anything else, a
+    wrapper included, is called.
     """
-    row = getattr(rhs, "row", None)
+    row = _row_of(rhs)
     if row is not None and len(row.states) != n:
         row = None
     signal = type(u) if "expr" in vars(type(u)) else None

@@ -16,7 +16,7 @@ from entrain.blocks import (
     stable_linear_field,
 )
 from entrain.diagnostics import classify_response
-from entrain.lti import LtiSystem
+from entrain.lti import LtiSystem, has_zero_at_origin
 from entrain.signals import Constant
 from entrain.solver import integrate
 
@@ -178,6 +178,19 @@ def test_front_end_must_be_hurwitz_with_zero_at_origin():
     lag = LtiSystem(A=[[-1.0]], B=[1.0], C=[1.0], D=0.0)  # W(0) = 1
     with pytest.raises(ValueError):
         compose_cascade(lag, Saturation(0.1), lorenz_field())
+
+
+@pytest.mark.parametrize("D, zero", [(1.0 + 5e-10, True), (1.0 + 5e-9, False)],
+                         ids=["inside", "outside"])
+def test_zero_at_origin_is_what_the_cascade_accepts(D, zero):
+    # W(0) = D - 1; one bound, |W(0)| <= 1e-9, decides both
+    filt = LtiSystem(A=[[-1.0]], B=[-1.0], C=[1.0], D=D)
+    assert has_zero_at_origin(filt) is zero
+    if zero:
+        assert compose_cascade(filt, Saturation(0.1), lorenz_field()).dim == 5
+    else:
+        with pytest.raises(ValueError, match="zero at s=0"):
+            compose_cascade(filt, Saturation(0.1), lorenz_field())
 
 
 def test_interpolated_requires_matching_dims():

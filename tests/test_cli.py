@@ -13,7 +13,7 @@ import entrain
 from entrain import cli, run_from_manifest
 from entrain.cli import _write_csv, main
 from entrain.diagnostics import LyapunovEstimate
-from entrain.scenarios import SCENARIO_IDS, default_spec
+from entrain.scenarios import DEFAULT_INPUT, SCENARIO_IDS
 from entrain.signals import parse_input_spec
 from entrain.solver import Trajectory
 
@@ -286,12 +286,25 @@ def _record_lyapunov_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("text", ["", "t,u\n"], ids=["empty", "header-only"])
+def test_simulate_rejects_input_file_without_data_rows(tmp_path, capsys, text):
+    # numpy's warning on a file without data stays inside parse_input_spec,
+    # and the one error line says what the file lacks
+    path = tmp_path / "drive.csv"
+    path.write_text(text)
+    rc = main(["simulate", "--scenario", "example1", "--input", f"file:{path}",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: input file {str(path)!r} has no data rows\n"
+
+
 @pytest.mark.parametrize("name", SCENARIO_IDS)
 def test_lyapunov_input_defaults_to_the_scenario_preset(name, monkeypatch):
+    # every scenario's preset input is the one default, sin:1:1
     calls = _record_lyapunov_calls(monkeypatch)
     assert main(["lyapunov", "--scenario", name]) == 0
     assert main(["lyapunov", "--scenario", name, "--input", "const:3"]) == 0
-    assert calls == [parse_input_spec(default_spec(name).input_spec).spec, "const:3"]
+    assert calls == [parse_input_spec(DEFAULT_INPUT).spec, "const:3"]
 
 
 @pytest.mark.parametrize("flags", [["--input", "const:3"], ["--K", "5"]])

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from entrain.scenarios import (
+    DEFAULT_INPUT,
+    DEFAULT_T_END,
     SCENARIO_IDS,
+    ScenarioSpec,
     build_reference_system,
     build_system,
     default_spec,
@@ -60,14 +65,15 @@ def test_interp_scenario_matches_example2():
 
 
 def test_default_spec_is_runnable():
+    # a row holds only what varies between scenarios; input and horizon are
+    # the same for all
+    assert [f.name for f in dataclasses.fields(ScenarioSpec)] == ["K", "x0", "compose"]
+    assert (DEFAULT_INPUT, DEFAULT_T_END) == ("sin:1:1", 200.0)
     for name in SCENARIO_IDS:
         spec = default_spec(name)
         sys = build_system(name)
-        assert spec.scenario_id == name
         assert sys.dim == len(spec.x0)
         assert sys.z == (2, 3, 4)
-        assert spec.t_end == 200.0
-        assert spec.input_spec == "sin:1:1"
 
 
 def test_reference_lorenz_system():

@@ -1,6 +1,7 @@
 """Integrator contract: accuracy, grid handling, determinism, failure modes."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -641,6 +642,29 @@ def test_inline_cascade_calls_a_field_without_a_row(copies):
     bad = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, lambda z: [0.0] * 4))
     with pytest.raises(ValueError, match="too many values to unpack"):
         _run(bad.rhs, Sinusoid(), EXAMPLE_X0, copies)
+    # a functools.wraps wrapper of a field with a row carries a copy of its
+    # row, and is called all the same, with the written-out field's bits
+    del calls[:]
+    wrapped = VectorField(3, WRAPPERS["wraps"](lorenz_field().rhs, calls))
+    sys = compose_cascade(filter_one(), Saturation(0.1), wrapped)
+    assert solver._dp45_source(5, copies, sys.rhs.row, Sinusoid).count("r_f1([") == 7 * copies
+    signal = _CountedInput(Sinusoid())
+    written = _run(compose_cascade(filter_one(), Saturation(0.1), lorenz_field()).rhs,
+                   Sinusoid(), EXAMPLE_X0, copies)
+    assert _run(sys.rhs, signal, EXAMPLE_X0, copies).tobytes() == written.tobytes()
+    assert len(calls) == copies * signal.calls
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_inline_autonomous_calls_a_wrapped_field(copies):
+    # compose_autonomous writes a field's row out, but calls a functools.wraps
+    # wrapper of it, once per stage and copy, with the same bits
+    calls = []
+    sys = compose_autonomous(VectorField(3, WRAPPERS["wraps"](lorenz_field().rhs, calls)))
+    signal = _CountedInput(Sinusoid())
+    written = _run(compose_autonomous(lorenz_field()).rhs, Sinusoid(), [1.0, 1.0, 1.0], copies)
+    assert _run(sys.rhs, signal, [1.0, 1.0, 1.0], copies).tobytes() == written.tobytes()
+    assert len(calls) == copies * signal.calls > 0
 
 
 def test_row_rejects_reserved_and_repeated_names():
@@ -995,19 +1019,49 @@ def _run(rhs, signal, x0, copies):
                            IntegratorConfig(), grid)[1]
 
 
-@pytest.mark.parametrize("copies", [1, 2])
-def test_inline_leaves_wrapped_callables_called(copies):
+def _plain(fn, calls):
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counting
+
+
+class _Forwarding:
+    """Calls ``fn``, recording each call, and forwards every other attribute
+    lookup to it, so ``row`` and ``values`` read as ``fn``'s."""
+
+    def __init__(self, fn, calls):
+        self.fn, self.calls = fn, calls
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.fn(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.fn, name)
+
+
+# wrapper kind -> wrap(fn, calls), a callable that records its calls in
+# ``calls`` and returns fn's result; "wraps" copies fn's row and values
+WRAPPERS = {
+    "plain": _plain,
+    "wraps": lambda fn, calls: functools.wraps(fn)(_plain(fn, calls)),
+    "proxy": _Forwarding,
+}
+
+
+@pytest.mark.parametrize("kind, copies", [
+    pytest.param(kind, copies, id=str(copies) if kind == "plain" else f"{kind}-{copies}")
+    for kind in WRAPPERS for copies in (1, 2)])
+def test_inline_leaves_wrapped_callables_called(kind, copies):
     # a wrapper that dataclasses.replace puts in place of a bundled rhs, as a
     # tracer does, is called once per copy for the first derivative and six
-    # times per trial step, and the run keeps the inlined run's bits
+    # times per trial step, and the run keeps the inlined run's bits; so is
+    # one that copies the rhs's attributes or forwards lookups to it
     sys = compose_example1()
     calls = []
-
-    def counting(t, state, u):
-        calls.append(t)
-        return sys.rhs(t, state, u)
-
-    traced = dataclasses.replace(sys, rhs=counting)
+    traced = dataclasses.replace(sys, rhs=WRAPPERS[kind](sys.rhs, calls))
     signal = _CountedInput(Sinusoid())
     inlined = _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies)
     assert _run(traced.rhs, signal, EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
