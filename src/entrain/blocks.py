@@ -9,9 +9,10 @@ dz/dt = f(z).
 Every bundled right-hand side is written once, as data: a ``Row`` of
 expression strings, one per state, over named states, the input ``u`` and
 named parameters. ``lorenz_field`` and ``stable_linear_field`` are rows over
-(xi, psi, zeta), and ``compose_autonomous`` reuses its field's row.
+(xi, psi, zeta), and every system a ``compose_*`` function builds is a row.
 ``compose_cascade`` writes the cascade around arbitrary blocks as one row,
-with the filter's entries as numbers in it. The two concrete 5-state systems
+with the filter's entries as numbers in it, and ``compose_autonomous`` a
+field alone, both with ``_field``. The two concrete 5-state systems
 are cascades too: ``compose_example1`` is ``compose_cascade`` around
 ``filter_one()`` and the Lorenz field, and ``compose_example2`` puts the same
 front before p-modulated Lorenz coefficients, so p = 0 leaves a stable field.
@@ -19,12 +20,14 @@ front before p-modulated Lorenz coefficients, so p = 0 leaves a stable field.
 A row becomes the ``rhs`` it describes when the block is built. That
 function carries the row and its parameter values as its ``row`` and
 ``values`` attributes, and so tells the solver's generated step loop that
-it may write the row out in place of the call. Only a function built here
-is written out (``_row_of``): a wrapper around it is called, even one made
-by ``functools.wraps`` or that forwards attribute lookups. A vector field
-without a row, such as a user's function, keeps the call:
-``compose_autonomous`` calls it, and ``compose_cascade`` makes it a
-parameter that its row calls.
+it may write the row out in place of the call; ``ComposedSystem`` and
+``VectorField`` reject one built for another number of states. Only a
+function built here is written out (``_row_of``). The loop calls a
+hand-built system's own function and any wrapper, even one made by
+``functools.wraps`` or that forwards attribute lookups. A vector field
+without a row, such as a user's function, is a parameter that the row
+calls and unpacks, under both constructors, so a result of the wrong
+length fails that unpack.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
@@ -174,6 +177,13 @@ def _row_of(fn):
     return fn.row if _BUILT.get(id(fn)) is fn else None
 
 
+def _check_row_size(rhs, n: int, what: str) -> None:
+    """Reject an ``rhs`` that ``_row_rhs`` built for other than n states."""
+    row = _row_of(rhs)
+    if row is not None and len(row.states) != n:
+        raise ValueError(f"rhs was built for {len(row.states)} states, not the {n} of this {what}")
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Autonomous vector field z -> f(z) with a declared dimension.
@@ -188,6 +198,7 @@ class VectorField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"vector field dimension must be >= 1, got {self.dim}")
+        _check_row_size(self.rhs, self.dim, "field")
 
 
 @dataclass(frozen=True)
@@ -213,6 +224,7 @@ class ComposedSystem:
             raise ValueError("a system needs at least one state")
         if len(set(self.z)) != len(self.z) or not all(0 <= i < self.dim for i in self.z):
             raise ValueError(f"z {self.z} must be distinct indices in 0..{self.dim - 1}")
+        _check_row_size(self.rhs, self.dim, "system")
 
     @property
     def dim(self) -> int:
@@ -331,6 +343,24 @@ def _cascade(filter1: LtiSystem, sat: Saturation, zs, dz, lets=(), params=None) 
                           tuple(range(n + 1, n + 1 + len(zs))))
 
 
+def _field(f: VectorField, tag: str, zs, lets: list, params: dict) -> tuple[str, ...]:
+    """``f`` at ``zs`` as one expression per component, adding what those
+    need to ``lets`` and ``params``: a field's row is written in, its own
+    names prefixed ``tag_``; a field without one is the param ``tag``, which
+    the row calls once and unpacks into ``tag_0, tag_1, ...``."""
+    row = _row_of(f.rhs)
+    if row is None:
+        params[tag] = f.rhs
+        out = tuple(f"{tag}_{i}" for i in range(f.dim))
+        lets.append((", ".join(out) + ",", f"{tag}([{', '.join(zs)}])"))
+        return out
+    names = {a: f"{tag}_{a}" for a in row.names}
+    names.update(zip(row.states, zs))
+    params.update(zip((names[a] for a in row.params), f.rhs.values))
+    lets.extend((_rename(target, names), _rename(expr, names)) for target, expr in row.lets)
+    return tuple(_rename(expr, names) for expr in row.exprs)
+
+
 def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
                     f0: VectorField | None = None) -> ComposedSystem:
     """Assemble the full cascade around arbitrary blocks: dz = p f1(z), or
@@ -347,26 +377,11 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")
     zs = tuple(f"z{i}" for i in range(f1.dim))
     lets, params = [], {}
-
-    def field(f, tag):
-        row = _row_of(f.rhs)
-        if row is None:  # one call, unpacked into the field's components
-            params[tag] = f.rhs
-            out = tuple(f"{tag}_{i}" for i in range(f.dim))
-            lets.append((", ".join(out) + ",", f"{tag}([{', '.join(zs)}])"))
-            return out
-        names = {a: f"{tag}_{a}" for a in row.names}
-        names.update(zip(row.states, zs))
-        params.update(zip((names[a] for a in row.params), f.rhs.values))
-        lets.extend((_rename(target, names), _rename(expr, names))
-                    for target, expr in row.lets)
-        return tuple(_rename(expr, names) for expr in row.exprs)
-
-    g1 = field(f1, "f1")
+    g1 = _field(f1, "f1", zs, lets, params)
     if f0 is None:
         dz = tuple(f"p * ({a})" for a in g1)
     else:
-        g0 = field(f0, "f0")
+        g0 = _field(f0, "f0", zs, lets, params)
         lets.append(("q", "1.0 - p"))
         dz = tuple(f"p * ({a}) + q * ({b})" for a, b in zip(g1, g0))
     return _cascade(filter1, sat, zs, dz, lets, params)
@@ -376,16 +391,9 @@ def compose_autonomous(field: VectorField) -> ComposedSystem:
     """Wrap a bare vector field as a ComposedSystem that ignores the input.
 
     Used for reference runs such as the plain Lorenz attractor (p fixed at 1).
-    A field with a row gives the system that row; any other field is called.
-    """
-    row = _row_of(field.rhs)
-    if row is not None:
-        rhs = _row_rhs(row, field.rhs.values)
-    else:
-        g = field.rhs
-
-        def rhs(t: float, state: list[float], u: float) -> list[float]:
-            return g(state)
-
-    names = tuple(f"z{i}" for i in range(field.dim))
-    return ComposedSystem(rhs, names, tuple(range(field.dim)))
+    Its right-hand side is one row over ``z0, z1, ...`` that writes ``field``
+    in as ``compose_cascade`` does."""
+    zs = tuple(f"z{i}" for i in range(field.dim))
+    lets, params = [], {}
+    row = Row(zs, _field(field, "f", zs, lets, params), tuple(lets), tuple(params))
+    return ComposedSystem(_row_rhs(row, tuple(params.values())), zs, tuple(range(field.dim)))

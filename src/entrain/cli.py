@@ -113,8 +113,7 @@ def _simulate_from_params(params: dict, out_dir: Path) -> RunArtifacts:
         "t_span": [t0, t1],
         "converged": None if steady is None else steady.converged,
         "steady_state": None if steady is None else asdict(steady),
-        "tail_stats": (asdict(tail_stats(traj, "p"))
-                       if "p" in traj.state_names else None),
+        "tail_stats": asdict(tail_stats(traj, "p")),
     }
 
     manifest = {"tool": "entrain", "version": __version__, "command": "simulate"}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -419,29 +419,20 @@ class MonteCarloRow:
     final_state_const: np.ndarray | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "sample": self.sample,
-            "u0": self.u0,
-            "x0": [float(v) for v in self.x0],
-            "verdict_const": self.verdict_const,
-            "verdict_sin": self.verdict_sin,
-            "lambda_const": self.lambda_const,
-            "lambda_sin": self.lambda_sin,
-            "p_tail_mean_const": self.p_tail_mean_const,
-            "p_tail_mean_sin": self.p_tail_mean_sin,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "final_state_const"}
+        out["x0"] = [float(v) for v in self.x0]
+        return out
 
 
 def _leg(sys, input_signal, x0, cfg):
     """One input leg of a Monte Carlo sample: verdict, exponent, p-tail mean."""
     record = classify_response(sys, input_signal, x0, cfg, always_lyapunov=True)
     lam = record.lyapunov.lambda_max if record.lyapunov else None
-    p_tail = None
-    if record.trajectory is not None and "p" in record.trajectory.state_names:
-        p_tail = tail_stats(record.trajectory, "p").mean
-    final = (record.trajectory.final_state.copy()
-             if record.trajectory is not None else None)
-    return record.verdict, lam, p_tail, final
+    traj = record.trajectory
+    if traj is None:
+        return record.verdict, lam, None, None
+    return record.verdict, lam, tail_stats(traj, "p").mean, traj.final_state.copy()
 
 
 def _mc_sample(task) -> MonteCarloRow:

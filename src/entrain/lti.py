@@ -35,7 +35,8 @@ class LtiSystem:
     """State-space realization (A, B, C, D) with scalar input and output.
 
     A is n-by-n, B and C hold n entries each, D is a scalar. Arrays are
-    normalized to A: (n, n), B: (n,), C: (n,) at construction.
+    copied and normalized to A: (n, n), B: (n,), C: (n,) at construction,
+    and are read-only, as are the eigenvalues computed from A then.
     """
 
     A: np.ndarray
@@ -45,9 +46,9 @@ class LtiSystem:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float).reshape(-1)
-        C = np.asarray(self.C, dtype=float).reshape(-1)
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        B = np.array(self.B, dtype=float).reshape(-1)
+        C = np.array(self.C, dtype=float).reshape(-1)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
@@ -55,11 +56,10 @@ class LtiSystem:
             raise ValueError(f"B must hold {n} entries, got {B.shape}")
         if C.shape != (n,):
             raise ValueError(f"C must hold {n} entries, got {C.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", float(self.D))
-        object.__setattr__(self, "eigenvalues", np.linalg.eigvals(A))
+        for name, a in (("A", A), ("B", B), ("C", C), ("eigenvalues", np.linalg.eigvals(A))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:

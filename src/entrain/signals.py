@@ -97,7 +97,8 @@ class Sampled(InputSignal):
     """Tabulated signal, linearly interpolated between samples.
 
     Evaluation outside [times[0], times[-1]] raises ValueError: extrapolating
-    a measured input silently would corrupt a simulation.
+    a measured input silently would corrupt a simulation. ``times`` and
+    ``values`` are read-only copies of the arrays given.
     """
 
     times: np.ndarray
@@ -105,10 +106,11 @@ class Sampled(InputSignal):
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
+        for name, a in (("times", times), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if times.ndim != 1 or values.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-D arrays of equal length")
         if times.size < 2:

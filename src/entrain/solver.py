@@ -221,12 +221,11 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
 
     The loop writes out what the callables say of themselves: the row of a
     right-hand side that ``blocks`` compiled from one (``blocks._row_of``),
-    and the ``expr`` that the input's own class defines. Anything else, a
-    wrapper included, is called.
+    as every ``compose_*`` system's is, sized when its system was built, and
+    the ``expr`` that the input's own class defines. Anything else is called:
+    a hand-built system's own function, a wrapper, a ``Sampled`` input.
     """
     row = _row_of(rhs)
-    if row is not None and len(row.states) != n:
-        row = None
     signal = type(u) if "expr" in vars(type(u)) else None
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.

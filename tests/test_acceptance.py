@@ -7,7 +7,11 @@ transfer-function values, the structural property suite, and byte-level
 reproducibility of CLI artifacts.
 """
 
+import contextlib
+import io
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,20 @@ from entrain.signals import Constant, Sinusoid
 from entrain.solver import IntegratorConfig, integrate
 
 U_NONE = Constant(0.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_quick_start_runs_as_written():
+    block = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```",
+                      README.read_text(), re.S)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    first, second = out.getvalue().splitlines()
+    assert first == "steady_state"
+    verdict, lam = second.split()
+    assert verdict == "chaotic_like"
+    assert abs(float(lam) - 0.5) < 0.1
 
 
 def test_dichotomy_example1_constant_vs_periodic():

@@ -123,6 +123,14 @@ def test_lyapunov_max_bits_are_pinned():
     assert est.lambda_max.hex() == "0x1.53a982f24ef40p-2"  # 0.33170132259305163
 
 
+def test_lorenz_reference_lyapunov_bits_are_pinned():
+    # the bare Lorenz field's own exponent, against which the paper's
+    # "chaotic" reads; compose_autonomous writes its row out in the loop
+    sys, x0 = scenarios.build_reference_system("lorenz")
+    est = lyapunov_max(sys, Constant(0.0), x0, transient=10.0, horizon=60.0)
+    assert est.lambda_max.hex() == "0x1.b15865a8d969ap-1"
+
+
 def test_lyapunov_of_linear_decay_is_minus_one():
     est = lyapunov_max(DECAY, U0, np.array([1.0]))
     assert est.lambda_max == pytest.approx(-1.0, abs=0.05)
@@ -494,9 +502,15 @@ def test_monte_carlo_row_shape_and_reproducibility():
     assert row.verdict_const == again.verdict_const
     assert row.verdict_sin == again.verdict_sin
     d = row.to_json_dict()
-    assert sorted(d) == ["lambda_const", "lambda_sin", "p_tail_mean_const",
-                         "p_tail_mean_sin", "sample", "u0", "verdict_const",
-                         "verdict_sin", "x0"]
+    # the verdicts.jsonl fields, in this order; final_state_const stays out
+    assert d == {"sample": 0, "u0": row.u0, "x0": row.x0.tolist(),
+                 "verdict_const": row.verdict_const, "verdict_sin": row.verdict_sin,
+                 "lambda_const": row.lambda_const, "lambda_sin": row.lambda_sin,
+                 "p_tail_mean_const": row.p_tail_mean_const,
+                 "p_tail_mean_sin": row.p_tail_mean_sin}
+    assert list(d) == ["sample", "u0", "x0", "verdict_const", "verdict_sin", "lambda_const",
+                       "lambda_sin", "p_tail_mean_const", "p_tail_mean_sin"]
+    assert all(type(v) is float for v in d["x0"])
     json.dumps(d)  # must be serializable as-is
     assert -10.0 <= row.u0 <= 10.0
     assert np.all((row.x0 >= -10.0) & (row.x0 <= 10.0))

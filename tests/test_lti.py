@@ -60,6 +60,19 @@ def test_transfer_eval_near_pole_raises():
         transfer_eval(F1, -1.0)
 
 
+def test_arrays_are_read_only_copies():
+    # a filter whose A or B changed after it was built would keep its cached
+    # eigenvalues, and so pass as Hurwitz with the zero at the origin gone
+    f = filter_one()
+    for a, idx in ((f.A, (0, 0)), (f.B, 0), (f.C, 0), (f.eigenvalues, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[idx] = 1.0
+    A = np.array([[-1.0]])
+    f = LtiSystem(A=A, B=np.array([-1.0]), C=[1.0], D=1.0)
+    A[0, 0] = 1.0
+    assert f.A[0, 0] == -1.0 and f.is_hurwitz and has_zero_at_origin(f)
+
+
 def test_normalization_from_nested_lists():
     sys = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[1.0, 0.0], D=0.0)
     assert sys.n == 2

@@ -45,6 +45,19 @@ def test_sampled_rejects_out_of_range_time():
         u(-0.1)
 
 
+def test_sampled_owns_read_only_copies():
+    # changing the caller's array, or the signal's own, cannot move a sample
+    times, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.2, 0.4])
+    u = Sampled(times, values)
+    times[1] = 5.0
+    values[2] = 9.0
+    assert u.times.tolist() == [0.0, 1.0, 2.0]
+    assert u(1.5) == pytest.approx(0.3)
+    for a in (u.times, u.values):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 5.0
+
+
 def test_sampled_validates_grid():
     with pytest.raises(ValueError):
         Sampled(times=(0.0, 0.0, 1.0), values=(1.0, 2.0, 3.0), source="mem")

@@ -166,10 +166,15 @@ def test_dense_mode_returns_internal_steps():
 
 
 def test_rhs_of_the_wrong_length_is_rejected():
-    short = compose_autonomous(VectorField(3, lambda z: [-z[0]]))
+    short = ComposedSystem(lambda t, z, u: [-z[0]], ("a", "b", "c"))
+    # under compose_autonomous, as under compose_cascade, a field's result
+    # of the wrong length fails its unpack inside the row
+    short_field = compose_autonomous(VectorField(3, lambda z: [-z[0]]))
     for grid in (None, np.array([0.5, 1.0])):
         with pytest.raises(ValueError, match="length 1 for a state of length 3"):
             integrate(short, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
+        with pytest.raises(ValueError, match=r"not enough values to unpack \(expected 3, got 1\)"):
+            integrate(short_field, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
         # from its 4th call on (the first step's 3rd stage), a 2-state RHS
         # returns one value too many or too few, or raises ValueError itself
         for turned, match in (([1.0, 2.0, 3.0], "length 3 for a state of length 2"),
@@ -588,10 +593,10 @@ def test_row_matches_the_closure_it_replaced_bitwise(case):
 
 
 def test_row_is_offered_by_every_composed_system():
-    # a cascade around a field without a row offers its row too, with the
-    # field a parameter of it; only compose_autonomous of such a field, and
-    # a hand-built system, are called
+    # a system around a field without a row offers its row too, with the
+    # field a parameter of it; only a hand-built system is called
     offered = [compose_example1(), compose_example2(), compose_autonomous(lorenz_field()),
+               compose_autonomous(VectorField(3, _lorenz_reference)),
                compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
                                stable_linear_field()),
                compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _lorenz_reference)),
@@ -600,10 +605,8 @@ def test_row_is_offered_by_every_composed_system():
     for sys in offered:
         assert len(sys.rhs.row.states) == sys.dim
         assert len(sys.rhs.values) == len(sys.rhs.row.params)
-    called = [compose_autonomous(VectorField(3, _lorenz_reference)),
-              ComposedSystem(lambda t, state, u: [-v for v in state], ("a",))]
-    for sys in called:
-        assert not hasattr(sys.rhs, "row")
+    called = ComposedSystem(lambda t, state, u: [-v for v in state], ("a",))
+    assert not hasattr(called.rhs, "row")
     # example1 is the general cascade; only K is a parameter of its row, and
     # the filter's entries are numbers in it, exact 1s and -1s folded
     for K in (0.1, 2.5):
@@ -658,9 +661,12 @@ def test_inline_cascade_calls_a_field_without_a_row(copies):
 @pytest.mark.parametrize("copies", [1, 2])
 def test_inline_autonomous_calls_a_wrapped_field(copies):
     # compose_autonomous writes a field's row out, but calls a functools.wraps
-    # wrapper of it, once per stage and copy, with the same bits
+    # wrapper of it from inside its own row, once per stage and copy, with
+    # the same bits
     calls = []
     sys = compose_autonomous(VectorField(3, WRAPPERS["wraps"](lorenz_field().rhs, calls)))
+    src = solver._dp45_source(3, copies, sys.rhs.row, Sinusoid)
+    assert "rhs(" not in src and src.count("r_f([") == 7 * copies
     signal = _CountedInput(Sinusoid())
     written = _run(compose_autonomous(lorenz_field()).rhs, Sinusoid(), [1.0, 1.0, 1.0], copies)
     assert _run(sys.rhs, signal, [1.0, 1.0, 1.0], copies).tobytes() == written.tobytes()
@@ -837,6 +843,11 @@ EXAMPLE_X0 = [5.0, 0.0, 1.0, 0.0, 0.0]
 EXAMPLE2_X0 = [2.95, -0.98, 0.94, -4.07, 4.89]
 # a row that reads t, as no bundled row does
 _READS_T = ComposedSystem(_row_rhs(Row(("a",), ("u * t - a",))), ("a",))
+# hand-built systems, whose right-hand sides the loop calls
+_CALLED_LORENZ = ComposedSystem(lambda t, z, u: _lorenz_reference(z), ("xi", "psi", "zeta"))
+_CALLED_EXAMPLE1 = ComposedSystem(
+    _cascade_reference(filter_one(), Saturation(0.1), _lorenz_reference),
+    ("x", "p", "xi", "psi", "zeta"))
 REFERENCE_CASES = {
     "example1-const": (compose_example1, Constant(10.0), EXAMPLE_X0, 10.0),
     "example1-sin": (compose_example1, Sinusoid(), EXAMPLE_X0, 10.0),
@@ -852,6 +863,8 @@ REFERENCE_CASES = {
     # a row that reads t under a constant input keeps the stage times
     "row-reads-t": (lambda: _READS_T, Constant(2.0), [1.0], 5.0),
     "lorenz": (lambda: LORENZ, U0, [1.0, 1.0, 1.0], 5.0),
+    "called-lorenz": (lambda: _CALLED_LORENZ, U0, [1.0, 1.0, 1.0], 5.0),
+    "called-example1-sin": (lambda: _CALLED_EXAMPLE1, Sinusoid(), EXAMPLE_X0, 10.0),
     # rows that compose_cascade writes, inlined in the loop against called
     # by the reference
     "general-sin": (lambda: compose_cascade(filter_one(), Saturation(0.1), lorenz_field()),
@@ -890,15 +903,19 @@ def test_kernel_matches_numpy_reference_bitwise(case, grid_id):
 @pytest.mark.parametrize("dim", [*range(1, 21), 64])
 def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     # a random stable linear system; from 8 components on, numpy's pairwise
-    # sum would order the error norm differently
+    # sum would order the error norm differently. Built by hand, the loop
+    # calls it; under compose_autonomous, the loop writes out a row that
+    # calls the field.
     rng = np.random.default_rng(dim)
     M = rng.standard_normal((dim, dim))
     A = M - M.T - np.diag(rng.uniform(0.5, 3.0, dim))
-    sys = compose_autonomous(VectorField(dim, lambda z: (A @ z).tolist()))
+    field = VectorField(dim, lambda z: (A @ z).tolist())
     x0 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)
-    _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
-    _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
-                              output_grid=np.linspace(0.0, 3.0, 31))
+    names = tuple(f"a{i}" for i in range(dim))
+    for sys in (ComposedSystem(lambda t, z, u: field.rhs(z), names), compose_autonomous(field)):
+        _assert_matches_reference(sys, U0, x0, (0.0, 3.0))
+        _assert_matches_reference(sys, U0, x0, (0.0, 3.0),
+                                  output_grid=np.linspace(0.0, 3.0, 31))
 
 
 @pytest.mark.parametrize("n, copies", [(1, 1), (64, 1), (5, 2)], ids=["1", "64", "5-2"])
@@ -1082,12 +1099,15 @@ def test_inline_leaves_wrapped_callables_called(kind, copies):
     assert (5, copies, None, None) in solver._KERNELS
 
 
-def test_inline_row_of_another_length_is_called():
-    # a row describes one copy of its own length; with more state names the
-    # row is not written out, and its right-hand side's unpack fails
-    sys = dataclasses.replace(compose_example1(), state_names=("a",) * 6)
-    with pytest.raises(ValueError, match="too many values to unpack"):
-        integrate(sys, Sinusoid(), np.ones(6), (0.0, 1.0))
+def test_row_of_another_length_is_rejected_where_its_system_is_built():
+    # a row describes one copy of its own length; a system or field of
+    # another length around it is an error when it is made, not in the loop
+    with pytest.raises(ValueError, match="built for 5 states, not the 6 of this system"):
+        dataclasses.replace(compose_example1(), state_names=("a",) * 6)
+    with pytest.raises(ValueError, match="built for 3 states, not the 4 of this field"):
+        VectorField(4, lorenz_field().rhs)
+    with pytest.raises(ValueError, match="built for 1 states, not the 2 of this system"):
+        ComposedSystem(_READS_T.rhs, ("a", "b"))
 
 
 def test_inline_kernels_do_not_grow_with_parameter_values(monkeypatch):
