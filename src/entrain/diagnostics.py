@@ -54,6 +54,14 @@ CHAOS_THRESHOLD = 0.05
 
 _MIN_SPAN = 10.0
 _MIN_RENORM_EVENTS = 50
+# classify_response's sequential stop: the exponent's standard error comes
+# from the means of this many near-equal batches of its counted windows, and
+# a leg stops once the exponent lies more than _STOP_Z standard errors from
+# both verdict boundaries, -CHAOS_THRESHOLD and CHAOS_THRESHOLD. z is above a
+# fixed-horizon 3 because a running estimate checked at every window would
+# otherwise call a boundary case wrongly more often.
+_BATCHES = 10
+_STOP_Z = 5.0
 # The trailing share of a run that the steady-state test and tail_stats see.
 _TAIL_FRACTION = 0.2
 # The steady-state test's relative bound on each component's tail variation.
@@ -89,11 +97,17 @@ class SteadyStateReport:
 class LyapunovEstimate:
     """Largest Lyapunov exponent from two-trajectory renormalization.
 
-    Only estimates backed by at least 50 renormalization events are
-    produced; ``lyapunov_max`` raises otherwise.
+    ``renorm_count`` is the number of windows whose log growth the estimate
+    averages: every counted window for ``lyapunov_max``, and those up to the
+    stop for a ``classify_response`` leg that stopped early. ``stderr`` is
+    the batch-means standard error of ``lambda_max``: the spread of the means
+    of 10 consecutive, near-equal batches of those windows. Only estimates
+    backed by at least 50 renormalization events are produced;
+    ``lyapunov_max`` raises otherwise.
     """
 
     lambda_max: float
+    stderr: float
     renorm_interval: float
     renorm_count: int
     transient_discarded: float
@@ -251,11 +265,43 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
         t, lo = t_next, hi
 
 
-def _estimate(log_sum, transient, renorm_dt, counted) -> LyapunovEstimate:
+def _lambda_stderr(sums, renorm_dt) -> tuple[float, float]:
+    """The exponent and its batch-means standard error from ``sums``, where
+    ``sums[i]`` is the sum of the first i counted log growths (``sums[0]``
+    is 0).
+
+    Batch j holds the counted windows j m // B to (j + 1) m // B - 1 of
+    m = len(sums) - 1, so each mean is read from two entries of ``sums``.
+    The squares add in index order, as in ``_norm``.
+    """
+    m = len(sums) - 1
+    lam = sums[m] / (m * renorm_dt)
+    ss, lo = 0.0, 0
+    for j in range(1, _BATCHES + 1):
+        hi = j * m // _BATCHES
+        e = (sums[hi] - sums[lo]) / ((hi - lo) * renorm_dt) - lam
+        ss += e * e
+        lo = hi
+    return lam, math.sqrt(ss / (_BATCHES * (_BATCHES - 1)))
+
+
+def _settled(sums, renorm_dt) -> bool:
+    """True once at least _MIN_RENORM_EVENTS counted windows put the exponent
+    more than _STOP_Z standard errors from both verdict boundaries."""
+    if len(sums) <= _MIN_RENORM_EVENTS:
+        return False
+    lam, stderr = _lambda_stderr(sums, renorm_dt)
+    margin = _STOP_Z * stderr
+    return abs(lam - CHAOS_THRESHOLD) > margin and abs(lam + CHAOS_THRESHOLD) > margin
+
+
+def _estimate(sums, transient, renorm_dt) -> LyapunovEstimate:
+    lam, stderr = _lambda_stderr(sums, renorm_dt)
     return LyapunovEstimate(
-        lambda_max=log_sum / (len(counted) * renorm_dt),
+        lambda_max=lam,
+        stderr=stderr,
         renorm_interval=renorm_dt,
-        renorm_count=len(counted),
+        renorm_count=len(sums) - 1,
         transient_discarded=transient,
         perturbation_size=_D0,
     )
@@ -287,7 +333,7 @@ def lyapunov_max(
     """
     transient, renorm_dt, counted = _renorm_windows(sys, transient, horizon,
                                                     renorm_dt)
-    log_sum = 0.0
+    sums = [0.0]
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt)
     for k, (growth, _) in enumerate(windows, 1):
         if growth is None:
@@ -295,10 +341,10 @@ def lyapunov_max(
                 "perturbation collapsed to exactly zero; cannot renormalize"
             )
         if k in counted:
-            log_sum += growth
+            sums.append(sums[-1] + growth)
         if k == counted[-1]:
             break
-    return _estimate(log_sum, transient, renorm_dt, counted)
+    return _estimate(sums, transient, renorm_dt)
 
 
 @dataclass(frozen=True)
@@ -311,7 +357,9 @@ class VerdictRecord:
     when the steady-state test already settled the verdict, when the pair
     diverged after ``ss_horizon``, or when its perturbation collapsed to
     exactly zero; in the last case a converged steady-state test gives the
-    verdict, and otherwise it is inconclusive.
+    verdict, and otherwise it is inconclusive. ``lyapunov.renorm_count`` is
+    below what the estimator's horizon holds when a sequential verdict
+    stopped early (see ``classify_response``).
     """
 
     verdict: str
@@ -341,9 +389,17 @@ def classify_response(
     (diagnostics disagree) or the exponent could not be measured because
     the perturbation collapsed. When the tail has converged and
     ``always_lyapunov`` is off, the run stops after the renormalization
-    window that holds ``ss_horizon``; otherwise it goes on to the
-    estimator's ``horizon``, and the exponent has the bits ``lyapunov_max``
-    gives with the same ``lyapunov_opts``.
+    window that holds ``ss_horizon``.
+
+    When the tail has not converged and ``always_lyapunov`` is off, the
+    verdict is sequential: from the window that holds ``ss_horizon`` on, at
+    each window end where at least 50 counted windows exist, the exponent
+    and its batch-means standard error sigma are read from the counted
+    windows so far (10 near-equal batches), and the run stops once the
+    exponent lies more than 5 sigma from both -0.05 and 0.05. Otherwise,
+    or with ``always_lyapunov``, the run goes on to the estimator's
+    ``horizon``, and the exponent has the bits ``lyapunov_max`` gives with
+    the same ``lyapunov_opts``.
 
     A diverging run yields the "divergence" verdict rather than an
     exception; so does a run that exceeds the integrator's step budget,
@@ -359,14 +415,14 @@ def classify_response(
 
     steady = traj = None
     parts, filled = [], 0
-    log_sum, measured = 0.0, True
+    sums, measured = [0.0], True
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid)
     try:
         for k, (growth, rows) in enumerate(windows, 1):
             if growth is None and k <= counted[-1]:
                 measured = False
             elif k in counted:
-                log_sum += growth
+                sums.append(sums[-1] + growth)
             parts.append(rows)
             filled += len(rows)
             if steady is None and filled == grid.size:
@@ -374,7 +430,8 @@ def classify_response(
                 steady = detect_steady_state(traj)
                 if steady.converged and not always_lyapunov:
                     break
-            if steady is not None and (k >= counted[-1] or not measured):
+            if steady is not None and (k >= counted[-1] or not measured or (
+                    not always_lyapunov and _settled(sums, renorm_dt))):
                 break
     except IntegrationError:
         if steady is None or not steady.converged:
@@ -383,7 +440,7 @@ def classify_response(
 
     estimate = None
     if measured and (always_lyapunov or not steady.converged):
-        estimate = _estimate(log_sum, transient, renorm_dt, counted)
+        estimate = _estimate(sums, transient, renorm_dt)
 
     if steady.converged:
         verdict = VERDICT_STEADY_STATE

@@ -30,20 +30,21 @@ _HURWITZ_MARGIN = -1e-9
 _ZERO_TOL = 1e-9  # a zero at the origin is |W(0)| at most this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """State-space realization (A, B, C, D) with scalar input and output.
 
     A is n-by-n, B and C hold n entries each, D is a scalar. Arrays are
     copied and normalized to A: (n, n), B: (n,), C: (n,) at construction,
-    and are read-only, as are the eigenvalues computed from A then.
+    and are read-only, as are the eigenvalues computed from A then. So
+    equality is identity and the hash is the object's.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: float = 0.0
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.array(self.A, dtype=float))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,18 +92,19 @@ class Sinusoid(InputSignal):
         return f"sin:{_num(self.amplitude)}:{_num(self.omega)}:{_num(self.phase)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sampled(InputSignal):
     """Tabulated signal, linearly interpolated between samples.
 
     Evaluation outside [times[0], times[-1]] raises ValueError: extrapolating
     a measured input silently would corrupt a simulation. ``times`` and
-    ``values`` are read-only copies of the arrays given.
+    ``values`` are read-only copies of the arrays given, so equality is
+    identity and the hash is the object's.
     """
 
     times: np.ndarray
     values: np.ndarray
-    source: str = field(default="", compare=False)
+    source: str = ""
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)

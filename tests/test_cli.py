@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -273,6 +274,7 @@ def test_lyapunov_scenario_under_constant_input(capsys):
     assert est["lambda_max"] < 0.05
     assert est["renorm_count"] >= 50
     assert est["renorm_interval"] == 0.5
+    assert math.isfinite(est["stderr"]) and est["stderr"] >= 0.0
 
 
 def _record_lyapunov_calls(monkeypatch):
@@ -280,7 +282,7 @@ def _record_lyapunov_calls(monkeypatch):
 
     def fake(sys, input_signal, x0, cfg):
         calls.append(input_signal.spec)
-        return LyapunovEstimate(0.0, 0.5, 600, 100.0, 1e-8)
+        return LyapunovEstimate(0.0, 0.0, 0.5, 600, 100.0, 1e-8)
 
     monkeypatch.setattr(cli, "lyapunov_max", fake)
     return calls

@@ -8,10 +8,13 @@ import pytest
 from entrain import diagnostics, scenarios
 from entrain.blocks import (
     ComposedSystem,
+    Saturation,
     VectorField,
     compose_autonomous,
+    compose_cascade,
     compose_example1,
     compose_example2,
+    filter_one,
 )
 from entrain.diagnostics import (
     VERDICT_CHAOTIC,
@@ -25,7 +28,7 @@ from entrain.diagnostics import (
     monte_carlo,
     tail_stats,
 )
-from entrain.scenarios import build_system
+from entrain.scenarios import SCENARIO_IDS, build_system, default_spec
 from entrain.signals import Constant, Sinusoid
 from entrain.solver import IntegratorConfig, Trajectory, integrate, uniform_grid
 
@@ -207,6 +210,8 @@ def test_verdict_oscillation_for_harmonic_oscillator():
     assert rec.verdict == "sustained_oscillation"
     assert abs(rec.lyapunov.lambda_max) <= 0.05
     assert not rec.steady.converged
+    # round-off on the center is far inside both boundaries
+    assert rec.lyapunov.renorm_count < 600
 
 
 def test_verdict_inconclusive_when_tail_moves_but_exponent_negative():
@@ -375,6 +380,71 @@ def test_converged_leg_stops_after_the_window_holding_ss_horizon(
     assert rec.lyapunov is None
     assert calls[-1][1] == (last_window_end - 0.5, last_window_end)
     assert len(calls) == round(last_window_end / 0.5)
+
+
+# ------------------------------------------------------------ sequential stop
+
+def test_sequential_verdict_bits_are_pinned():
+    # the sin t leg stops at t = 200, its first check: lambda averages
+    # windows 201-400 and lies 6.7 standard errors above 0.05
+    rec = classify_response(build_system("example1"), Sinusoid(),
+                            np.array(EXAMPLE_X0["example1"]))
+    assert rec.verdict == VERDICT_CHAOTIC
+    assert rec.lyapunov.lambda_max.hex() == "0x1.0f5ac51ef91acp-1"  # 0.5299893951710621
+    assert rec.lyapunov.renorm_count == 200
+    assert rec.lyapunov.stderr == pytest.approx(0.0719, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", SCENARIO_IDS)
+def test_sequential_verdict_is_the_full_horizon_verdict(monkeypatch, name):
+    sys, x0 = build_system(name), np.array(default_spec(name).x0)
+    calls = _record_pair_calls(monkeypatch)
+    full = classify_response(sys, Sinusoid(), x0, always_lyapunov=True)
+    assert full.lyapunov.renorm_count == 600
+    assert len(calls) == 800  # always_lyapunov runs every window
+    calls.clear()
+    rec = classify_response(sys, Sinusoid(), x0)
+    assert rec.verdict == full.verdict
+    est = rec.lyapunov
+    assert est.renorm_count < 600
+    assert len(calls) < 800
+    # the counted windows start after the transient and end at the stop
+    assert calls[-1][1][1] == 100.0 + 0.5 * est.renorm_count
+    margin = 5.0 * est.stderr
+    assert abs(est.lambda_max - 0.05) > margin and abs(est.lambda_max + 0.05) > margin
+
+
+def _rossler(z):
+    return [-z[1] - z[2], z[0] + 0.2 * z[1], 0.2 + z[2] * (z[0] - 5.7)]
+
+
+def test_leg_near_a_boundary_runs_to_the_horizon(monkeypatch):
+    # the gate scales Rossler's exponent to about 0.04, within 5 standard
+    # errors of 0.05, so no window end settles the verdict
+    sys = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, _rossler))
+    calls = _record_pair_calls(monkeypatch)
+    rec = classify_response(sys, Sinusoid(), np.array([5.0, 0.0, 1.0, 1.0, 0.0]))
+    est = rec.lyapunov
+    assert est.lambda_max == pytest.approx(0.0397, abs=5e-4)
+    assert est.stderr == pytest.approx(0.0063, abs=5e-4)
+    assert abs(est.lambda_max - 0.05) < 5.0 * est.stderr
+    assert est.renorm_count == 600
+    assert len(calls) == 800
+    assert rec.verdict == VERDICT_OSCILLATION
+
+
+def test_stderr_is_the_spread_of_ten_batch_means():
+    # 99 windows split into batches of 9, 10, ..., 10; windows 0-48 grow by
+    # 1 and 49-98 by 3, so the batch means are five 1s and five 3s
+    growths = [1.0] * 49 + [3.0] * 50
+    sums = [0.0]
+    for g in growths:
+        sums.append(sums[-1] + g)
+    lam, stderr = diagnostics._lambda_stderr(sums, 1.0)
+    means = [np.mean(growths[j * 99 // 10:(j + 1) * 99 // 10]) for j in range(10)]
+    assert lam == sum(growths) / 99
+    assert stderr == pytest.approx(math.sqrt(sum((m - lam) ** 2 for m in means) / 90),
+                                   rel=1e-12)
 
 
 def _turning_rhs(turn_at, turned):

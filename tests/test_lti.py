@@ -73,6 +73,15 @@ def test_arrays_are_read_only_copies():
     assert f.A[0, 0] == -1.0 and f.is_hurwitz and has_zero_at_origin(f)
 
 
+def test_equality_is_identity_and_the_hash_is_the_objects():
+    # comparing or hashing the array fields would raise; a filter is its
+    # own key, as it never changes once built
+    f, g = filter_one(), filter_one()
+    assert f == f and f != g
+    assert hash(f) == hash(f)
+    assert {f: "f", g: "g"}[f] == "f"
+
+
 def test_normalization_from_nested_lists():
     sys = LtiSystem(A=[[0.0, 1.0], [-2.0, -3.0]], B=[0.0, 1.0], C=[1.0, 0.0], D=0.0)
     assert sys.n == 2

@@ -58,6 +58,15 @@ def test_sampled_owns_read_only_copies():
             a[1] = 5.0
 
 
+def test_sampled_equality_is_identity_and_the_hash_is_the_objects():
+    # comparing or hashing the array fields would raise
+    u = Sampled([0.0, 1.0, 2.0], [0.0, 0.2, 0.4])
+    v = Sampled([0.0, 1.0, 2.0], [0.0, 0.2, 0.4])
+    assert u == u and u != v
+    assert hash(u) == hash(u)
+    assert {u: "u", v: "v"}[u] == "u"
+
+
 def test_sampled_validates_grid():
     with pytest.raises(ValueError):
         Sampled(times=(0.0, 0.0, 1.0), values=(1.0, 2.0, 3.0), source="mem")
