@@ -62,6 +62,20 @@ _MIN_RENORM_EVENTS = 50
 # otherwise call a boundary case wrongly more often.
 _BATCHES = 10
 _STOP_Z = 5.0
+# The next two read a leg on its own clock: the field time of a counted
+# window is renorm_dt times p at its end, with p taken as 1 for a system
+# without a p state, since in product form p rescales the z block's time.
+# A leg stops only once its batches span, on average, at least
+# _BATCH_FIELD_TIME units of field time each; shorter batches are
+# correlated, and their spread understates the standard error. A leg that
+# keeps moving but counts less field time than _MIN_FIELD_TIME reads
+# inconclusive: too little of a slow field has run to tell chaos from an
+# oscillation. The floor lies below the _BATCHES * _BATCH_FIELD_TIME = 30
+# units a stop needs, so no stop falls below it, and above the 22 units
+# that example1 under sin:0.18:1 counts by the default horizon, where its
+# exponent reads an oscillation and long runs read chaos.
+_BATCH_FIELD_TIME = 3.0
+_MIN_FIELD_TIME = 25.0
 # The trailing share of a run that the steady-state test and tail_stats see.
 _TAIL_FRACTION = 0.2
 # The steady-state test's relative bound on each component's tail variation.
@@ -234,8 +248,9 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
     The pair is one list of 2n floats, reference then copy, that the
     solver's two-copy step loop advances, so both take the same steps.
     After each window this yields the log growth log(d / _D0) of the copies'
-    separation d at its end, None when d is exactly 0, and the reference
-    half at the points of ``grid`` inside the window. It then pulls the
+    separation d at its end, None when d is exactly 0, the reference half
+    at the points of ``grid`` inside the window, and the reference half at
+    the window's end, as a list. It then pulls the
     copy back to distance _D0 along the separation (onto the reference when
     d is 0). A grid point within _SNAP of a window's end is sampled at that
     end, the last point of the window's own grid; grid output does not
@@ -257,7 +272,7 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
         delta = [b - a for a, b in zip(state, state[n:])]
         d = _norm(delta)
         growth = None if d == 0.0 else math.log(d / _D0)
-        yield growth, rows[:hi - lo, :n]
+        yield growth, rows[:hi - lo, :n], state[:n]
         if d == 0.0:
             state[n:] = state[:n]
         else:
@@ -285,10 +300,15 @@ def _lambda_stderr(sums, renorm_dt) -> tuple[float, float]:
     return lam, math.sqrt(ss / (_BATCHES * (_BATCHES - 1)))
 
 
-def _settled(sums, renorm_dt) -> bool:
-    """True once at least _MIN_RENORM_EVENTS counted windows put the exponent
-    more than _STOP_Z standard errors from both verdict boundaries."""
+def _settled(sums, clock, renorm_dt) -> bool:
+    """True once at least _MIN_RENORM_EVENTS counted windows, whose
+    _BATCHES batches span on average at least _BATCH_FIELD_TIME of field
+    time, put the exponent more than _STOP_Z standard errors from both
+    verdict boundaries. ``clock`` is the sum of p at the counted windows'
+    ends."""
     if len(sums) <= _MIN_RENORM_EVENTS:
+        return False
+    if clock * renorm_dt < _BATCHES * _BATCH_FIELD_TIME:
         return False
     lam, stderr = _lambda_stderr(sums, renorm_dt)
     margin = _STOP_Z * stderr
@@ -335,7 +355,7 @@ def lyapunov_max(
                                                     renorm_dt)
     sums = [0.0]
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt)
-    for k, (growth, _) in enumerate(windows, 1):
+    for k, (growth, _, _) in enumerate(windows, 1):
         if growth is None:
             raise ValueError(
                 "perturbation collapsed to exactly zero; cannot renormalize"
@@ -359,13 +379,17 @@ class VerdictRecord:
     exactly zero; in the last case a converged steady-state test gives the
     verdict, and otherwise it is inconclusive. ``lyapunov.renorm_count`` is
     below what the estimator's horizon holds when a sequential verdict
-    stopped early (see ``classify_response``).
+    stopped early (see ``classify_response``). ``field_time`` is the span of
+    the exponent's counted windows on the leg's own clock, renorm_dt times
+    the sum of p at their ends, and None with ``lyapunov``; a leg that keeps
+    moving with less than 25 of it reads inconclusive.
     """
 
     verdict: str
     steady: SteadyStateReport | None
     lyapunov: LyapunovEstimate | None
     trajectory: Trajectory | None
+    field_time: float | None = None
 
 
 def classify_response(
@@ -386,20 +410,30 @@ def classify_response(
     asymptotically constant; otherwise chaotic_like when lambda_max > 0.05,
     sustained_oscillation when |lambda_max| <= 0.05, and inconclusive when
     the tail keeps moving yet the exponent reads clearly negative
-    (diagnostics disagree) or the exponent could not be measured because
-    the perturbation collapsed. When the tail has converged and
-    ``always_lyapunov`` is off, the run stops after the renormalization
-    window that holds ``ss_horizon``.
+    (diagnostics disagree), the exponent could not be measured because the
+    perturbation collapsed, or the counted windows hold less than 25 units
+    of field time. When the tail has converged and ``always_lyapunov`` is
+    off, the run stops after the renormalization window that holds
+    ``ss_horizon``.
+
+    Field time is the leg's own clock: a counted window adds renorm_dt
+    times p at its end, or renorm_dt for a system without a ``p`` state.
+    In product form p rescales the z block's time, so a small p makes a
+    chaotic field look still over a run that is long in t. Where p
+    rescales a parameter instead (example2), the clock only makes a leg run
+    longer.
 
     When the tail has not converged and ``always_lyapunov`` is off, the
     verdict is sequential: from the window that holds ``ss_horizon`` on, at
     each window end where at least 50 counted windows exist, the exponent
     and its batch-means standard error sigma are read from the counted
     windows so far (10 near-equal batches), and the run stops once the
-    exponent lies more than 5 sigma from both -0.05 and 0.05. Otherwise,
-    or with ``always_lyapunov``, the run goes on to the estimator's
-    ``horizon``, and the exponent has the bits ``lyapunov_max`` gives with
-    the same ``lyapunov_opts``.
+    exponent lies more than 5 sigma from both -0.05 and 0.05 and the
+    batches span on average at least L_tau = 3 units of field time each,
+    30 in all, so that no stop falls below the floor. Otherwise, or with
+    ``always_lyapunov``, the run goes on to the estimator's ``horizon``,
+    and the exponent has the bits ``lyapunov_max`` gives with the same
+    ``lyapunov_opts``.
 
     A diverging run yields the "divergence" verdict rather than an
     exception; so does a run that exceeds the integrator's step budget,
@@ -413,16 +447,18 @@ def classify_response(
     grid = uniform_grid(0.0, ss_horizon, _GRID_STEP)
     transient, renorm_dt, counted = _renorm_windows(sys, **(lyapunov_opts or {}))
 
+    p = sys.state_names.index("p") if "p" in sys.state_names else None
     steady = traj = None
     parts, filled = [], 0
-    sums, measured = [0.0], True
+    sums, clock, measured = [0.0], 0.0, True
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid)
     try:
-        for k, (growth, rows) in enumerate(windows, 1):
+        for k, (growth, rows, end) in enumerate(windows, 1):
             if growth is None and k <= counted[-1]:
                 measured = False
             elif k in counted:
                 sums.append(sums[-1] + growth)
+                clock += 1.0 if p is None else end[p]
             parts.append(rows)
             filled += len(rows)
             if steady is None and filled == grid.size:
@@ -431,20 +467,21 @@ def classify_response(
                 if steady.converged and not always_lyapunov:
                     break
             if steady is not None and (k >= counted[-1] or not measured or (
-                    not always_lyapunov and _settled(sums, renorm_dt))):
+                    not always_lyapunov and _settled(sums, clock, renorm_dt))):
                 break
     except IntegrationError:
         if steady is None or not steady.converged:
             return VerdictRecord(VERDICT_DIVERGENCE, steady, None, traj)
         measured = False
 
-    estimate = None
+    estimate = field_time = None
     if measured and (always_lyapunov or not steady.converged):
         estimate = _estimate(sums, transient, renorm_dt)
+        field_time = clock * renorm_dt
 
     if steady.converged:
         verdict = VERDICT_STEADY_STATE
-    elif estimate is None:
+    elif estimate is None or field_time < _MIN_FIELD_TIME:
         verdict = VERDICT_INCONCLUSIVE
     elif estimate.lambda_max > CHAOS_THRESHOLD:
         verdict = VERDICT_CHAOTIC
@@ -452,16 +489,19 @@ def classify_response(
         verdict = VERDICT_OSCILLATION
     else:
         verdict = VERDICT_INCONCLUSIVE
-    return VerdictRecord(verdict, steady, estimate, traj)
+    return VerdictRecord(verdict, steady, estimate, traj, field_time)
 
 
 @dataclass(frozen=True)
 class MonteCarloRow:
     """One sample of the random-input/random-IC sweep.
 
-    ``to_json_dict`` emits exactly the documented JSON-lines fields; the
-    extra ``final_state_const`` array stays in-process for convergence
-    checks.
+    Each leg's fields come from ``classify_response`` at its defaults, so
+    its verdict is sequential. ``lambda_const`` is None when the constant
+    leg settles, as the paper says it does, and ``lambda_sin`` is the
+    exponent where the ``sin t`` leg stopped. ``to_json_dict`` emits exactly
+    the documented JSON-lines fields; the extra ``final_state_const`` array
+    stays in-process for convergence checks.
     """
 
     sample: int
@@ -483,8 +523,14 @@ class MonteCarloRow:
 
 
 def _leg(sys, input_signal, x0, cfg):
-    """One input leg of a Monte Carlo sample: verdict, exponent, p-tail mean."""
-    record = classify_response(sys, input_signal, x0, cfg, always_lyapunov=True)
+    """One input leg of a Monte Carlo sample: verdict, exponent, p-tail mean
+    and final state of ``classify_response`` at its defaults.
+
+    A settled leg stops after the window that holds ``ss_horizon`` and has
+    no exponent; one that keeps moving stops where its sequential verdict
+    settles, on its own clock, or at the estimator's horizon.
+    """
+    record = classify_response(sys, input_signal, x0, cfg)
     lam = record.lyapunov.lambda_max if record.lyapunov else None
     traj = record.trajectory
     if traj is None:
@@ -525,9 +571,13 @@ def monte_carlo(
     state uniformly from [-10, 10], then maps p0 affinely into [0, 1], and
     classifies the response to u = u0 and to u = sin t. The cascade keeps
     p in [0, 1] once there, and a negative p would run the product-form
-    field backward in time. Draws come from per-sample generators split
-    off one seed, so results are reproducible and independent of ``jobs``;
-    sample i's draw does not change when n_samples grows. At most
+    field backward in time. Each leg takes ``classify_response``'s
+    sequential verdict: a settled constant leg stops after the window that
+    holds t = 200 and reports no exponent, and a ``sin t`` leg stops once
+    its exponent is 5 standard errors clear of both verdict boundaries,
+    with enough field time behind it. Draws come from per-sample generators
+    split off one seed, so results are reproducible and independent of
+    ``jobs``; sample i's draw does not change when n_samples grows. At most
     ``min(jobs, n_samples)`` worker processes run; with one, no pool starts.
     """
     if n_samples < 1:

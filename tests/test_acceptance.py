@@ -96,6 +96,7 @@ def test_monte_carlo_sweep_verdict_distribution():
     assert len(rows) == 20
     zi = list(build_system("example2").z)
     assert all(r.verdict_const == "steady_state" for r in rows)
+    assert all(r.lambda_const is None for r in rows)  # a settled leg measures none
     assert all(np.linalg.norm(r.final_state_const[zi]) < 1e-3 for r in rows)
     assert sum(r.verdict_sin != "steady_state" for r in rows) >= 18
     assert elapsed < 300.0

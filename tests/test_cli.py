@@ -336,6 +336,20 @@ def test_montecarlo_writes_jsonl(tmp_path, capsys):
     assert len(row["x0"]) == 5
 
 
+def test_montecarlo_jsonl_bytes_are_pinned(tmp_path):
+    # The constant leg settles, so its lambda is null; the sin t leg's
+    # sequential stop decides which windows lambda_sin averages, so its
+    # digits pin that stop as well as the pair's arithmetic.
+    assert main(["montecarlo", "--scenario", "example2", "--n", "1", "--seed", "7",
+                 "--out-dir", str(tmp_path)]) == 0
+    jsonl = read(tmp_path / "verdicts.jsonl")
+    row = json.loads(jsonl)
+    assert row["lambda_const"] is None
+    assert row["lambda_sin"] == 0.8689660497180861
+    assert hashlib.sha256(jsonl).hexdigest() == (
+        "ba8b80b9cc5803d906f0ea1ae14cea1919d54110d8390ba3f94a4f44ad19c70e")
+
+
 def project_table():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11 on
     with PYPROJECT.open("rb") as fh:

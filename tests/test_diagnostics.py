@@ -433,6 +433,50 @@ def test_leg_near_a_boundary_runs_to_the_horizon(monkeypatch):
     assert rec.verdict == VERDICT_OSCILLATION
 
 
+def test_slow_clock_leg_runs_to_the_horizon():
+    # A = 0.2 gives p about 0.087, so z runs about 11 times slower than t.
+    # Without the field-time rule the leg stopped at t = 227.5 on batches of
+    # about 1.1 units of field time and read 0.0024 +- 0.0083,
+    # sustained_oscillation; its batches never reach 3 units before 400
+    sys, x0 = build_system("example1"), np.array(EXAMPLE_X0["example1"])
+    full = classify_response(sys, Sinusoid(0.2, 1.0), x0, always_lyapunov=True)
+    rec = classify_response(sys, Sinusoid(0.2, 1.0), x0)
+    assert rec.lyapunov.renorm_count == 600
+    assert rec.lyapunov == full.lyapunov
+    assert 25.0 < rec.field_time < 30.0
+    assert rec.verdict == full.verdict == VERDICT_CHAOTIC
+
+
+def test_leg_with_too_little_field_time_is_inconclusive():
+    # 300 units of t hold about 22 units of the z block's time at A = 0.18,
+    # where the exponent reads 0.0306 +- 0.0086, which the absolute rule
+    # calls an oscillation, while long runs read about 0.067, chaotic_like
+    rec = classify_response(build_system("example1"), Sinusoid(0.18, 1.0),
+                            np.array(EXAMPLE_X0["example1"]))
+    assert rec.lyapunov.renorm_count == 600
+    assert abs(rec.lyapunov.lambda_max) <= diagnostics.CHAOS_THRESHOLD
+    assert rec.field_time < 25.0
+    assert rec.verdict == VERDICT_INCONCLUSIVE
+
+
+def test_field_time_is_the_sum_of_p_at_the_counted_window_ends():
+    # every window end is a point of the steady grid, sampled at that end
+    rec = classify_response(build_system("example1"), Sinusoid(),
+                            np.array(EXAMPLE_X0["example1"]), ss_horizon=60.0,
+                            always_lyapunov=True,
+                            lyapunov_opts={"transient": 10.0, "horizon": 60.0})
+    p = rec.trajectory.column("p")
+    clock = 0.0
+    for k in range(21, 121):  # the counted windows end at 10.5, 11, ..., 60
+        clock += p[10 * k]
+    assert rec.lyapunov.renorm_count == 100
+    assert rec.field_time == 0.5 * clock
+    # a system without a p state counts each window's 0.5
+    osc = compose_autonomous(VectorField(2, lambda z: [z[1], -z[0]]))
+    rec = classify_response(osc, U0, np.array([1.0, 0.0]))
+    assert rec.field_time == 0.5 * rec.lyapunov.renorm_count >= 30.0
+
+
 def test_stderr_is_the_spread_of_ten_batch_means():
     # 99 windows split into batches of 9, 10, ..., 10; windows 0-48 grow by
     # 1 and 49-98 by 3, so the batch means are five 1s and five 3s
@@ -596,7 +640,35 @@ def test_monte_carlo_parallel_matches_serial():
         assert np.array_equal(r1.x0, r2.x0)
         assert r1.verdict_const == r2.verdict_const
         assert r1.verdict_sin == r2.verdict_sin
+        assert r1.lambda_const == r2.lambda_const
         assert r1.lambda_sin == r2.lambda_sin
+        assert r1.p_tail_mean_const == r2.p_tail_mean_const
+        assert r1.p_tail_mean_sin == r2.p_tail_mean_sin
+
+
+def test_monte_carlo_legs_stop_where_their_verdicts_settle(monkeypatch):
+    # the constant leg settles and stops after the window holding
+    # ss_horizon = 200 with no exponent; the sin t leg stops at t = 200, its
+    # first check, instead of running 800 windows to the horizon
+    calls = _record_pair_calls(monkeypatch)
+    [row] = monte_carlo("example2", 1, seed=5)
+    starts = [i for i, (_, span) in enumerate(calls) if span[0] == 0.0]
+    assert starts == [0, 400] and len(calls) == 800
+    assert row.verdict_const == VERDICT_STEADY_STATE
+    assert row.lambda_const is None
+    assert row.verdict_sin == VERDICT_CHAOTIC
+    assert calls[-1][1] == (199.5, 200.0)
+
+
+def test_monte_carlo_verdicts_are_the_full_horizon_verdicts():
+    rows = monte_carlo("example2", 2, seed=5)
+    sys = build_system("example2")
+    for row in rows:
+        for signal, verdict in ((Constant(row.u0), row.verdict_const),
+                                (Sinusoid(), row.verdict_sin)):
+            full = classify_response(sys, signal, row.x0, always_lyapunov=True)
+            assert verdict == full.verdict
+        assert row.lambda_const is None
 
 
 def test_monte_carlo_draws_stable_under_growing_n():
