@@ -20,7 +20,7 @@ from . import scenarios
 from .blocks import ComposedSystem
 from .signals import Constant, InputSignal, Sinusoid
 # nothing here calls integrate; perfbench's tracer wraps diagnostics.integrate
-from .solver import (IntegrationError, IntegratorConfig, Trajectory, _advance,
+from .solver import (IntegrationError, IntegratorConfig, Trajectory, _advance, _GridRows,
                      check_initial_state, integrate, uniform_grid)
 
 __all__ = [
@@ -248,36 +248,39 @@ def _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid=np.empty(0)):
     The pair is one list of 2n floats, reference then copy, that the
     solver's two-copy step loop advances, so both take the same steps.
     After each window this yields the log growth log(d / _D0) of the copies'
-    separation d at its end, None when d is exactly 0, the reference half
-    at the points of ``grid`` inside the window, and the reference half at
-    the window's end, as a list. It then pulls the
-    copy back to distance _D0 along the separation (onto the reference when
-    d is 0). A grid point within _SNAP of a window's end is sampled at that
-    end, the last point of the window's own grid; grid output does not
-    steer step control, so the growth does not depend on ``grid``.
+    separation d at its end, None when d is exactly 0, the reference half's
+    rows at the points of ``grid`` once every point is filled (None until
+    then), and the reference half at the window's end, the loop's final
+    state, as a list. It then pulls the copy back to distance _D0 along the
+    separation (onto the reference when d is 0).
+
+    The rows are one leg-wide array. Each window's loop records the steps
+    that pass its points, and the solver evaluates the records in blocks, the
+    last once the grid is complete; a grid point within _SNAP of a window's
+    end takes the window's end state. Grid output does not steer step
+    control, so the growth does not depend on ``grid``.
     """
     n = sys.dim
     state = check_initial_state(x0, n).tolist() * 2
     state[n + sys.z[0]] += _D0
-    t, lo = 0.0, 0
+    out = _GridRows(grid, n)
+    t = 0.0
     for k in itertools.count(1):
         t_next = k * renorm_dt
-        hi = int(np.searchsorted(grid, t_next + _SNAP, side="right"))
-        points = grid[lo:hi]
-        if points.size and points[-1] > t_next - _SNAP:
-            points = points[:-1]  # the window's end stands in for it
-        _, rows = _advance(sys.rhs, input_signal, state, n, t, t_next, cfg,
-                           np.append(points, t_next))
-        state = rows[-1].tolist()
+        stop = end = grid.size
+        if out.gi < grid.size:
+            stop, end = np.searchsorted(grid, (t_next - _SNAP, t_next + _SNAP),
+                                        side="right").tolist()
+        state = _advance(sys.rhs, input_signal, state, n, t, t_next, cfg, out, stop, end)
         delta = [b - a for a, b in zip(state, state[n:])]
         d = _norm(delta)
         growth = None if d == 0.0 else math.log(d / _D0)
-        yield growth, rows[:hi - lo, :n], state[:n]
+        yield growth, out.rows if out.gi == grid.size else None, state[:n]
         if d == 0.0:
             state[n:] = state[:n]
         else:
             state[n:] = [a + e * (_D0 / d) for a, e in zip(state, delta)]
-        t, lo = t_next, hi
+        t = t_next
 
 
 def _lambda_stderr(sums, renorm_dt) -> tuple[float, float]:
@@ -406,7 +409,9 @@ def classify_response(
     on one run of the two-trajectory pair that ``lyapunov_max`` uses.
 
     The steady-state test sees the pair's reference half on a 0.05 grid
-    that ends at ``ss_horizon``. Verdict rule: steady_state if its tail is
+    that ends at ``ss_horizon``. The windows fill its rows as they pass its
+    points, and the test runs once the window that holds ``ss_horizon``
+    has filled the last. Verdict rule: steady_state if its tail is
     asymptotically constant; otherwise chaotic_like when lambda_max > 0.05,
     sustained_oscillation when |lambda_max| <= 0.05, and inconclusive when
     the tail keeps moving yet the exponent reads clearly negative
@@ -449,7 +454,6 @@ def classify_response(
 
     p = sys.state_names.index("p") if "p" in sys.state_names else None
     steady = traj = None
-    parts, filled = [], 0
     sums, clock, measured = [0.0], 0.0, True
     windows = _pair_windows(sys, input_signal, x0, cfg, renorm_dt, grid)
     try:
@@ -459,10 +463,8 @@ def classify_response(
             elif k in counted:
                 sums.append(sums[-1] + growth)
                 clock += 1.0 if p is None else end[p]
-            parts.append(rows)
-            filled += len(rows)
-            if steady is None and filled == grid.size:
-                traj = Trajectory(grid, np.concatenate(parts), sys.state_names)
+            if steady is None and rows is not None:
+                traj = Trajectory(grid, rows, sys.state_names)
                 steady = detect_steady_state(traj)
                 if steady.converged and not always_lyapunov:
                     break

@@ -3,7 +3,10 @@
 An adaptive Dormand-Prince 4(5) embedded pair keeps the local error per step
 below rel_tol * |state| + abs_tol. Grid output interpolates the internal
 steps with a cubic Hermite (locally 4th-order accurate); dense output is the
-internal steps themselves.
+internal steps themselves. The step loop does not interpolate: for each
+accepted step that passes grid points it records the Hermite's data (the
+step's ends and their derivatives), and ``_GridRows.flush`` evaluates the
+records in numpy blocks of ``_BLOCK`` steps, so memory stays bounded.
 
 Runs are bitwise deterministic. The step loop is Python source written out
 from one template per state length and number of copies (``_dp45_source``),
@@ -19,7 +22,9 @@ reorders nor fuses float operations, so a component rounds as the per-term
 loop ``acc += a[k] * K[k]`` does, whatever else shares the state: identical
 copies evolve bit for bit alike. The error norm adds ``q * q`` in component
 order. So a step's bits rest on IEEE arithmetic and libm's ``pow`` (the
-controller's ``err ** -0.2``), not on numpy's or BLAS's summation order. An
+controller's ``err ** -0.2``), not on numpy's or BLAS's summation order.
+The grid rows take numpy's elementwise operations in the order the scalar
+formula gives, each rounded as Python rounds it, and no reduction. An
 RHS gets the state as a list of Python floats and returns a new list of the
 same length (``ComposedSystem``).
 """
@@ -198,26 +203,99 @@ def integrate(
     if t_end < t0:
         raise ValueError(f"t_span must increase, got {t_span}")
 
-    if output_grid is not None:
-        grid = np.asarray(output_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
-            raise ValueError("output_grid must be a non-empty 1-D array of finite times")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("output_grid must be strictly increasing")
-        if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
-            raise ValueError("output_grid must lie within t_span")
-    else:
-        grid = None
+    if output_grid is None:
+        times, states = _advance(sys.rhs, input_signal, x0.tolist(), sys.dim, t0, t_end, cfg)
+        return Trajectory(times, states, sys.state_names)
+    grid = np.asarray(output_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError("output_grid must be a non-empty 1-D array of finite times")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("output_grid must be strictly increasing")
+    if grid[0] < t0 - 1e-12 or grid[-1] > t_end + 1e-12:
+        raise ValueError("output_grid must lie within t_span")
+    out = _GridRows(grid, sys.dim)
+    _advance(sys.rhs, input_signal, x0.tolist(), sys.dim, t0, t_end, cfg, out)
+    return Trajectory(grid.copy(), out.rows, sys.state_names)
 
-    times, states = _advance(sys.rhs, input_signal, x0.tolist(), sys.dim, t0, t_end, cfg, grid)
-    return Trajectory(times, states, sys.state_names)
+
+# Step records the loop gathers before _GridRows.flush evaluates them: enough
+# to pay numpy's per-call cost many times over, few enough to keep the
+# records' memory small beside the rows
+_BLOCK = 256
 
 
-def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
+class _GridRows:
+    """The rows at ``grid``'s times of the first ``width`` components of the
+    state that the step loop advances, filled over one or more ``_advance``
+    calls. ``gi`` is the next point to fill.
+
+    The loop does no interpolation. For each accepted step that reaches the
+    points ``gi`` to ``gj - 1``, it appends to ``records`` one flat tuple:
+    gi, gj, the step's t and h, then y, k0, yn and k6 of each component in
+    turn, the cubic Hermite's data. ``flush`` evaluates them in numpy.
+    """
+
+    __slots__ = ("grid", "rows", "records", "gi")
+
+    def __init__(self, grid, width):
+        self.grid = grid
+        self.rows = np.empty((grid.size, width))
+        self.records = []
+        self.gi = 0
+
+    def flush(self):
+        """Write the recorded steps' rows and empty ``records``.
+
+        Each row is ``w0 * y + w1 * k0 + w2 * yn + w3 * k6`` at its point tg,
+        with ``th = (min(tg, t + h) - t) / h``, ``w0 = 2 * th3 - 3 * th2 + 1``,
+        ``w1 = (th3 - 2 * th2 + th) * h``, ``w2 = -2 * th3 + 3 * th2`` and
+        ``w3 = (th3 - th2) * h``, operation for operation; elementwise numpy
+        rounds each as Python's floats do, so a row has the bits of a
+        float-by-float evaluation.
+        """
+        if not self.records:
+            return
+        rec = np.array(self.records, dtype=float)
+        self.records.clear()
+        gi = rec[:, 0].astype(np.intp)
+        count = rec[:, 1].astype(np.intp) - gi
+        at = np.repeat(np.arange(len(rec)), count)  # each row's record
+        # each row's point; a point between records took a state, not a record
+        idx = np.arange(at.size) + (gi - (np.cumsum(count) - count))[at]
+        t, h = rec[at, 2], rec[at, 3]
+        th = (np.minimum(self.grid[idx], t + h) - t) / h
+        th2 = th * th
+        th3 = th2 * th
+        data = rec[:, 4:].reshape(len(rec), -1, 4)[:, :self.rows.shape[1]]
+        rows = data[at, :, 0]
+        rows *= (2 * th3 - 3 * th2 + 1)[:, None]
+        for j, w in ((1, (th3 - 2 * th2 + th) * h), (2, -2 * th3 + 3 * th2),
+                     (3, (th3 - th2) * h)):
+            term = data[at, :, j]
+            term *= w[:, None]
+            rows += term
+        self.rows[idx] = rows
+
+    def fill(self, y, end):
+        """Give the points from ``gi`` up to ``end`` the state ``y``, and
+        evaluate the last records once every point is filled."""
+        if end > self.gi:
+            self.rows[self.gi:end] = y[:self.rows.shape[1]]
+            self.gi = end
+        if end == self.grid.size:
+            self.flush()
+
+
+def _advance(rhs, u, y0, n, t0, t_end, cfg, out=None, stop=None, end=None):
     """Step ``y0``, a list of floats holding copies of an n-state system side
     by side, all driven by ``u``, from t0 to t_end with ``_kernel``.
-    Returns the times and state rows at ``grid``, or at every internal step
-    when ``grid`` is None.
+
+    With ``out`` None, returns the times and states of every internal step.
+    Otherwise ``out`` is a ``_GridRows``. Its points from ``out.gi`` up to
+    index ``stop`` take ``y0`` if they lie at t0 and otherwise the rows of
+    the steps that pass them, which the loop records; the points from there
+    up to index ``end`` take the final state (both indices default to every
+    point), and the final state is returned as a list.
 
     The loop writes out what the callables say of themselves: the row of a
     right-hand side that ``blocks`` compiled from one (``blocks._row_of``),
@@ -227,10 +305,19 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, grid):
     """
     row = _row_of(rhs)
     signal = type(u) if "expr" in vars(type(u)) else None
+    if out is not None:
+        size = out.grid.size
+        stop = size if stop is None else stop
+        end = size if end is None else end
+        if out.gi < stop and out.grid.item(out.gi) == t0:
+            out.fill(y0, out.gi + 1)
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        return _kernel(n, len(y0) // n, row, signal)(rhs, u, y0, n, t0, t_end, cfg, grid)
+        y = _kernel(n, len(y0) // n, row, signal)(rhs, u, y0, n, t0, t_end, cfg, out, stop)
+        if out is not None:
+            out.fill(y, end)
+    return y
 
 
 # (state length, copies, row, input class) -> compiled step loop; parameter
@@ -313,7 +400,7 @@ def _dp45_source(n, copies=1, row=None, signal=None):
 
 
 _DP45_LOOP = """\
-def dp45_loop(rhs, u, y, n, t, t_end, cfg, grid):
+def dp45_loop(rhs, u, y, n, t, t_end, cfg, out, stop):
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \\
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_ERR
@@ -322,12 +409,11 @@ def dp45_loop(rhs, u, y, n, t, t_end, cfg, grid):
     t0, steps, h = t, 0, min(_H_INIT, t_end - t)
     [[y_@]] = y
     a_@ = abs(y_@)
-    dense_t, dense_y, gi = [t], [y], 0
-    if grid is not None:
-        rows = np.empty((grid.size, len(y)))
-        if grid[0] == t:
-            rows[0] = y
-            gi = 1
+    if out is None:
+        dense_t, dense_y = [t], [y]
+    else:
+        grid, recs, gi = out.grid, out.records, out.gi
+        tg = grid.item(gi) if gi < stop else math.inf  # the next point to pass
     finite = True  # whether the last trial step was finite
     eps_end = 1e-14 * max(1.0, abs(t_end))
     k = y[:n]  # the last RHS result; one copy's length before the first call
@@ -390,24 +476,20 @@ def dp45_loop(rhs, u, y, n, t, t_end, cfg, grid):
 
             if err <= 1.0:  # accept
                 t_new = t + h_step
-                if grid is None:
+                if out is None:
                     dense_t.append(t_new)
                     dense_y.append([[yn_@]])
                 else:
                     bound = t_new + 1e-14 * max(1.0, abs(t_new))
-                    while gi < grid.size:
-                        tg = grid.item(gi)
-                        if tg > bound:
-                            break
-                        th = (min(tg, t_new) - t) / h_step
-                        th2 = th * th
-                        th3 = th2 * th
-                        w0 = 2 * th3 - 3 * th2 + 1
-                        w1 = (th3 - 2 * th2 + th) * h_step
-                        w2 = -2 * th3 + 3 * th2
-                        w3 = (th3 - th2) * h_step
-                        rows[gi] = [[w0 * y_@ + w1 * k0_@ + w2 * yn_@ + w3 * k6_@]]
-                        gi += 1
+                    if tg <= bound:  # record the step for the points it passes
+                        gj = gi + 1
+                        while gj < stop and grid.item(gj) <= bound:
+                            gj += 1
+                        recs.append((gi, gj, t, h_step, *[[y_@, k0_@, yn_@, k6_@]]))
+                        if len(recs) >= _BLOCK:
+                            out.flush()
+                        gi = gj
+                        tg = grid.item(gi) if gi < stop else math.inf
                 t = t_new
                 y_@ = yn_@
                 a_@ = b_@
@@ -421,8 +503,8 @@ def dp45_loop(rhs, u, y, n, t, t_end, cfg, grid):
         if len(k) != n:  # the unpack of k failed
             raise ValueError(_WRONG_LENGTH.format(len(k), n)) from None
         raise
-    if grid is None:
+    if out is None:
         return np.array(dense_t), np.array(dense_y)
-    rows[gi:] = [[y_@]]  # grid points at (or within rounding of) t_end
-    return grid.copy(), rows
+    out.gi = gi
+    return [[y_@]]
 """

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -5,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from entrain import diagnostics, scenarios
+from entrain import diagnostics, scenarios, solver
 from entrain.blocks import (
     ComposedSystem,
     Saturation,
@@ -132,6 +133,25 @@ def test_lorenz_reference_lyapunov_bits_are_pinned():
     sys, x0 = scenarios.build_reference_system("lorenz")
     est = lyapunov_max(sys, Constant(0.0), x0, transient=10.0, horizon=60.0)
     assert est.lambda_max.hex() == "0x1.b15865a8d969ap-1"
+
+
+def test_steady_grid_rows_are_pinned():
+    # the pair's reference half on the steady-state grid; 12.34 is no
+    # multiple of the 0.5 window, so the grid ends inside a window; at every
+    # window end before it, a grid point takes the window's end state
+    rec = classify_response(build_system("example1"), Constant(3.7),
+                            np.array(EXAMPLE_X0["example1"]), ss_horizon=12.34)
+    assert rec.trajectory.states.shape == (248, 5)
+    assert hashlib.sha256(rec.trajectory.states.tobytes()).hexdigest() == (
+        "4f36792ddb0a47bcc26828b2eaf5c3499914bbd3c2cd675b85480fe1fdb979d9")
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_steady_grid_rows_do_not_depend_on_the_record_block(monkeypatch, block):
+    # the pair's step records from every window wait in one list, evaluated
+    # every _BLOCK records and once the grid is complete
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    test_steady_grid_rows_are_pinned()
 
 
 def test_lyapunov_of_linear_decay_is_minus_one():
