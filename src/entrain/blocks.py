@@ -17,17 +17,15 @@ are cascades too: ``compose_example1`` is ``compose_cascade`` around
 ``filter_one()`` and the Lorenz field, and ``compose_example2`` puts the same
 front before p-modulated Lorenz coefficients, so p = 0 leaves a stable field.
 
-A row becomes the ``rhs`` it describes when the block is built. That
-function carries the row and its parameter values as its ``row`` and
-``values`` attributes, and so tells the solver's generated step loop that
-it may write the row out in place of the call; ``ComposedSystem`` and
-``VectorField`` reject one built for another number of states. Only a
-function built here is written out (``_row_of``). The loop calls a
-hand-built system's own function and any wrapper, even one made by
-``functools.wraps`` or that forwards attribute lookups. A vector field
-without a row, such as a user's function, is a parameter that the row
-calls and unpacks, under both constructors, so a result of the wrong
-length fails that unpack.
+Every ``ComposedSystem`` and ``VectorField`` holds a row. A row becomes
+the ``rhs`` it describes when the block is built: a ``_RowRhs``, which
+carries the row and its parameter values as ``row`` and ``values`` for the
+solver's generated step loop to write out, and is rejected by a system or
+field of another number of states. Any other callable, a user's function
+or a wrapper of a built ``rhs`` alike, even one made by ``functools.wraps``
+or that forwards attribute lookups, is wrapped in a calling row: a
+parameter ``f`` that the row calls once and unpacks, so a result of the
+wrong length fails that unpack.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
@@ -38,7 +36,6 @@ calls numpy.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
@@ -158,30 +155,41 @@ def _binder(row: Row, args: str):
     return ns["bind"]
 
 
-# id -> every rhs that ``_row_rhs`` built and that is still alive
-_BUILT = weakref.WeakValueDictionary()
+class _RowRhs:
+    """A right-hand side compiled from ``row`` with its params bound to
+    ``values``; the solver's step loop writes ``row`` out in place of the
+    call. Only ``_row_rhs`` makes one, so a wrapper of one, whatever
+    attributes it copies or forwards, is another callable."""
+
+    __slots__ = ("row", "values", "fn")
+
+    def __init__(self, row: Row, values, fn):
+        self.row, self.values, self.fn = row, values, fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
 
 
-def _row_rhs(row: Row, values=(), args: str = "t, state, u"):
-    """``row`` compiled as ``rhs(args)`` with its params bound to ``values``,
-    carrying ``row`` and ``values`` for the solver's step loop to write out."""
-    rhs = _binder(row, args)(*values)
-    rhs.row, rhs.values = row, tuple(values)
-    _BUILT[id(rhs)] = rhs
+def _row_rhs(row: Row, values=(), args: str = "t, state, u") -> _RowRhs:
+    """``row`` compiled as ``rhs(args)`` with its params bound to ``values``."""
+    return _RowRhs(row, tuple(values), _binder(row, args)(*values))
+
+
+def _as_row_rhs(rhs, n: int, what: str, args: str) -> _RowRhs:
+    """``rhs`` if ``_row_rhs`` built it for n states; any other callable as
+    the row that calls it once, as ``f(args)`` with the state a list of the
+    n floats, and unpacks its result, so one of the wrong length fails there.
+    The states are ``s0, s1, ...``, whatever the columns are called."""
+    if type(rhs) is not _RowRhs:
+        ss = tuple(f"s{i}" for i in range(n))
+        fs = tuple(f"f_{i}" for i in range(n))
+        call = args.replace("state", f"[{', '.join(ss)}]")
+        rhs = _row_rhs(Row(ss, fs, ((", ".join(fs) + ",", f"f({call})"),), ("f",)),
+                       (rhs,), args)
+    if len(rhs.row.states) != n:
+        raise ValueError(f"rhs was built for {len(rhs.row.states)} states, not the {n} "
+                         f"of this {what}")
     return rhs
-
-
-def _row_of(fn):
-    """``fn.row`` if ``_row_rhs`` built ``fn`` itself, else None; None too for
-    a wrapper that copied a built function's attributes or forwards to one."""
-    return fn.row if _BUILT.get(id(fn)) is fn else None
-
-
-def _check_row_size(rhs, n: int, what: str) -> None:
-    """Reject an ``rhs`` that ``_row_rhs`` built for other than n states."""
-    row = _row_of(rhs)
-    if row is not None and len(row.states) != n:
-        raise ValueError(f"rhs was built for {len(row.states)} states, not the {n} of this {what}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +197,8 @@ class VectorField:
     """Autonomous vector field z -> f(z) with a declared dimension.
 
     ``rhs(z)`` takes z as a list of ``dim`` Python floats, which it must not
-    change, and returns f(z) as a new list of ``dim`` floats.
+    change, and returns f(z) as a new list of ``dim`` floats. The field holds
+    it as a row (``_as_row_rhs``).
     """
 
     dim: int
@@ -198,7 +207,7 @@ class VectorField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"vector field dimension must be >= 1, got {self.dim}")
-        _check_row_size(self.rhs, self.dim, "field")
+        object.__setattr__(self, "rhs", _as_row_rhs(self.rhs, self.dim, "field", "state"))
 
 
 @dataclass(frozen=True)
@@ -212,7 +221,8 @@ class ComposedSystem:
     list. ``state_names`` labels each state column, in order, for CSV output
     and diagnostics lookups; ``dim`` is its length, at least 1.
     ``z`` lists the indices of the gated field's state, the block
-    ``lyapunov_max`` perturbs; it is empty for a system without one.
+    ``lyapunov_max`` perturbs; it is empty for a system without one. The
+    system holds ``rhs`` as a row (``_as_row_rhs``).
     """
 
     rhs: Callable[[float, list[float], float], list[float]]
@@ -224,7 +234,7 @@ class ComposedSystem:
             raise ValueError("a system needs at least one state")
         if len(set(self.z)) != len(self.z) or not all(0 <= i < self.dim for i in self.z):
             raise ValueError(f"z {self.z} must be distinct indices in 0..{self.dim - 1}")
-        _check_row_size(self.rhs, self.dim, "system")
+        object.__setattr__(self, "rhs", _as_row_rhs(self.rhs, self.dim, "system", "t, state, u"))
 
     @property
     def dim(self) -> int:
@@ -345,15 +355,9 @@ def _cascade(filter1: LtiSystem, sat: Saturation, zs, dz, lets=(), params=None) 
 
 def _field(f: VectorField, tag: str, zs, lets: list, params: dict) -> tuple[str, ...]:
     """``f`` at ``zs`` as one expression per component, adding what those
-    need to ``lets`` and ``params``: a field's row is written in, its own
-    names prefixed ``tag_``; a field without one is the param ``tag``, which
-    the row calls once and unpacks into ``tag_0, tag_1, ...``."""
-    row = _row_of(f.rhs)
-    if row is None:
-        params[tag] = f.rhs
-        out = tuple(f"{tag}_{i}" for i in range(f.dim))
-        lets.append((", ".join(out) + ",", f"{tag}([{', '.join(zs)}])"))
-        return out
+    need to ``lets`` and ``params``: the field's row is written in, its own
+    names prefixed ``tag_``."""
+    row = f.rhs.row
     names = {a: f"{tag}_{a}" for a in row.names}
     names.update(zip(row.states, zs))
     params.update(zip((names[a] for a in row.params), f.rhs.values))
@@ -370,8 +374,8 @@ def compose_cascade(filter1: LtiSystem, sat: Saturation, f1: VectorField,
     keeps p near 1 and hands z to f1.
 
     The right-hand side is one row over ``x`` (or ``x0, x1, ...``), ``p`` and
-    ``z0, z1, ...``, with each entry of A, B, C and D a number in it. A field's
-    row is written in; a field without one is a parameter the row calls.
+    ``z0, z1, ...``, with each entry of A, B, C and D a number in it, and
+    each field's row written in.
     """
     if f0 is not None and f0.dim != f1.dim:
         raise ValueError(f"field dimensions differ: {f0.dim} vs {f1.dim}")

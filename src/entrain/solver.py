@@ -9,17 +9,17 @@ step's ends and their derivatives), and ``_GridRows.flush`` evaluates the
 records in numpy blocks of ``_BLOCK`` steps, so memory stays bounded.
 
 Runs are bitwise deterministic. The step loop is Python source written out
-from one template per state length and number of copies (``_dp45_source``),
-with a float local per component. It evaluates the input once per stage and
-the right-hand side once per copy, the first derivative's included, as the
-Lyapunov pair in ``diagnostics`` runs two copies side by side. A right-hand
-side compiled from a row (``blocks.Row``), and a ``Constant`` or
-``Sinusoid``, are written out in the loop, operation for operation; any
-other right-hand side or input, a wrapper of one of these included, is
-called. Each stage
-sums its terms left to right, skipping zero weights, and Python neither
-reorders nor fuses float operations, so a component rounds as the per-term
-loop ``acc += a[k] * K[k]`` does, whatever else shares the state: identical
+from one template per state length, number of copies, row and input class
+(``_dp45_source``), with a float local per component. It evaluates the input
+once per stage and the right-hand side once per copy, the first derivative's
+included, as the Lyapunov pair in ``diagnostics`` runs two copies side by
+side. Every system's right-hand side holds its row (``blocks.Row``), which
+the loop writes out operation for operation; a hand-built one's row calls
+its function. A ``Constant`` or ``Sinusoid`` is written out too; any other
+input, a wrapper of one of these included, is called. Each stage sums its
+terms left to right, skipping zero weights, and Python neither reorders nor
+fuses float operations, so a component rounds as the per-term loop
+``acc += a[k] * K[k]`` does, whatever else shares the state: identical
 copies evolve bit for bit alike. The error norm adds ``q * q`` in component
 order. So a step's bits rest on IEEE arithmetic and libm's ``pow`` (the
 controller's ``err ** -0.2``), not on numpy's or BLAS's summation order.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import _NAME, ComposedSystem, _rename, _row_of
+from .blocks import _NAME, ComposedSystem, _rename
 from .signals import InputSignal
 
 __all__ = [
@@ -142,7 +142,6 @@ _H_MAX = 0.1
 # abs_tol = 1e-14; a run that needs 10,000 is crawling, as a product-form
 # cascade with p < 0 does (it runs its field backward in time).
 _MAX_STEPS_PER_UNIT = 10_000
-_WRONG_LENGTH = "the right-hand side returned a vector of length {} for a state of length {}"
 
 
 def check_initial_state(x0, dim: int) -> np.ndarray:
@@ -190,11 +189,12 @@ def integrate(
     times equal the requested grid exactly.
 
     Every stage, the first included, evaluates ``rhs(t, y, u(t))`` once, in
-    the generated step loop that ``_advance`` runs; a result of the wrong
-    length, at any stage, is a ``ValueError``. A trial step with a
-    non-finite stage or result, or whose RHS raised ``ArithmeticError`` (where
-    numpy gave inf, Python's ``**`` raises ``OverflowError``), is rejected like
-    one with an infinite error.
+    the generated step loop that ``_advance`` runs; a hand-built right-hand
+    side whose result has the wrong length, at any stage, fails its unpack
+    with Python's ``ValueError``. A trial step with a non-finite stage or
+    result, or whose RHS raised ``ArithmeticError`` (where numpy gave inf,
+    Python's ``**`` raises ``OverflowError``), is rejected like one with an
+    infinite error.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -297,13 +297,12 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, out=None, stop=None, end=None):
     up to index ``end`` take the final state (both indices default to every
     point), and the final state is returned as a list.
 
-    The loop writes out what the callables say of themselves: the row of a
-    right-hand side that ``blocks`` compiled from one (``blocks._row_of``),
-    as every ``compose_*`` system's is, sized when its system was built, and
-    the ``expr`` that the input's own class defines. Anything else is called:
-    a hand-built system's own function, a wrapper, a ``Sampled`` input.
+    ``rhs`` is a system's right-hand side, which holds its row
+    (``rhs.row``, sized when its system was built), and the loop writes that
+    row out; a hand-built system's row, or a wrapper's, calls its function.
+    The loop writes out, too, the ``expr`` that the input's own class defines;
+    any other input, a ``Sampled`` one or a wrapper, is called.
     """
-    row = _row_of(rhs)
     signal = type(u) if "expr" in vars(type(u)) else None
     if out is not None:
         size = out.grid.size
@@ -314,7 +313,7 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, out=None, stop=None, end=None):
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        y = _kernel(n, len(y0) // n, row, signal)(rhs, u, y0, n, t0, t_end, cfg, out, stop)
+        y = _kernel(n, len(y0) // n, rhs.row, signal)(rhs, u, y0, n, t0, t_end, cfg, out, stop)
         if out is not None:
             out.fill(y, end)
     return y
@@ -325,7 +324,7 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, out=None, stop=None, end=None):
 _KERNELS = {}
 
 
-def _kernel(n, copies=1, row=None, signal=None):
+def _kernel(n, copies, row, signal):
     """The step loop ``_dp45_source(n, copies, row, signal)``, compiled on
     first use. Its globals are this module's, so it reads ``_H_MIN`` and the
     like as it runs."""
@@ -337,25 +336,24 @@ def _kernel(n, copies=1, row=None, signal=None):
     return _KERNELS[key]
 
 
-def _dp45_source(n, copies=1, row=None, signal=None):
-    """``_DP45_LOOP`` for ``copies`` copies of n states side by side. A
-    statement that calls ``rhs`` is written once per copy, with ``@`` running
-    over that copy's n components. Everywhere else ``[[x_@]]`` becomes the list
-    ``[x_0, x_1, ...]`` of all n * copies components, and a line with ``@`` one
-    line per component. Every component of the state and of each stage is a
-    local (``y_0``, ``k3_0``, ...), so an RHS result of the wrong length fails
-    its unpack. ``print(_dp45_source(5, 2))`` shows the Lyapunov pair's loop
-    for 5 states.
+def _dp45_source(n, copies, row, signal=None):
+    """``_DP45_LOOP`` for ``copies`` copies of n states side by side, with
+    ``row``, a ``blocks.Row`` of n states, written out. Each copy's
+    ``[[k1_@]] = rhs(...)`` becomes one assignment per state whose stage
+    input is not a bare name (``r_x = y_0 + ...``), the row's lets, and one
+    assignment per stage component (``k1_0 = -r_x - v``); the row's
+    parameters are bound from ``rhs.values`` on entry. Everywhere else
+    ``[[x_@]]`` becomes the list ``[x_0, x_1, ...]`` of all n * copies
+    components, and a line with ``@`` one line per component, so every
+    component of the state and of each stage is a local (``y_0``, ``k3_0``,
+    ...).
 
-    With a ``row`` of n states, each copy's call becomes one assignment per
-    state whose stage input is not a bare name (``r_x = y_0 + ...``), the
-    row's lets, and one assignment per stage component (``k1_0 = -r_x - v``);
-    the row's parameters are bound from ``rhs.values`` on entry. With a
-    ``signal`` class, each ``v = u(ts)`` becomes the class's ``expr``, its
-    fields bound from ``u`` on entry; an ``expr`` without ``t`` is evaluated
-    once, there, and if the row reads no ``t`` either, no stage time ``ts``
-    is computed. ``print(_dp45_source(5, 2, compose_example1().rhs.row,
-    Sinusoid))`` shows the pair's loop for example1 under a sinusoid.
+    With a ``signal`` class, each ``v = u(ts)`` becomes the class's ``expr``,
+    its fields bound from ``u`` on entry; an ``expr`` without ``t`` is
+    evaluated once, there, and if the row reads no ``t`` either, no stage
+    time ``ts`` is computed. ``print(_dp45_source(5, 2,
+    compose_example1().rhs.row, Sinusoid))`` shows the Lyapunov pair's loop
+    for example1 under a sinusoid.
     """
     def each(text, sep, idx):
         return sep.join(text.replace("@", str(i)) for i in idx)
@@ -367,8 +365,6 @@ def _dp45_source(n, copies=1, row=None, signal=None):
                        for line in text.splitlines(True))
 
     def call(m):
-        if row is None:
-            return "".join(expand(m[0], range(c * n, c * n + n)) for c in range(copies))
         indent, k, ts, arg = m[1], m[2], m[3], " ".join(m[4].split())
         out = []
         for c in range(copies):
@@ -377,10 +373,10 @@ def _dp45_source(n, copies=1, row=None, signal=None):
             out += lines + [f"{k}{i} = {e}" for i, e in zip(own, exprs)]
         return "".join(f"{indent}{line}\n" for line in out)
 
-    src = re.sub(r"^( +)k = \[\[(\w+)@\]\] = rhs\((\w+), \[\[(.*?)\]\], v\)\n", call,
+    src = re.sub(r"^( +)\[\[(\w+)@\]\] = rhs\((\w+), \[\[(.*?)\]\], v\)\n", call,
                  _DP45_LOOP, flags=re.M | re.S)
     entry = []
-    if row is not None and row.params:
+    if row.params:
         entry.append(f"{', '.join('r_' + a for a in row.params)}, = rhs.values")
     if signal is not None:
         fields = [f.name for f in dataclasses.fields(signal)]
@@ -416,93 +412,87 @@ def dp45_loop(rhs, u, y, n, t, t_end, cfg, out, stop):
         tg = grid.item(gi) if gi < stop else math.inf  # the next point to pass
     finite = True  # whether the last trial step was finite
     eps_end = 1e-14 * max(1.0, abs(t_end))
-    k = y[:n]  # the last RHS result; one copy's length before the first call
     try:
+        v = u(t)
+        [[k0_@]] = rhs(t, [[y_@]], v)
+    except ArithmeticError as exc:
+        raise DivergenceError(f"derivative at initial state raised {exc!r}",
+                              last_good_time=t) from exc
+    if not all([[isfinite(k0_@)]]):
+        raise DivergenceError("derivative non-finite at initial state", last_good_time=t)
+    while t < t_end - eps_end:
+        steps += 1
+        if steps > _MAX_STEPS_PER_UNIT * (1.0 + t - t0):
+            raise StepBudgetError(f"more than {_MAX_STEPS_PER_UNIT} trial steps "
+                                  "per unit of time", last_good_time=t)
+        if h < _H_MIN:
+            if not finite:
+                raise DivergenceError(f"trial steps stayed non-finite down to "
+                                      f"h={h:.3e} < {_H_MIN:.3e}", last_good_time=t)
+            raise StiffnessError(f"step size {h:.3e} fell below {_H_MIN:.3e}", last_good_time=t)
+        h_step = min(h, t_end - t)
         try:
-            v = u(t)
-            k = [[k0_@]] = rhs(t, [[y_@]], v)
-        except ArithmeticError as exc:
-            raise DivergenceError(f"derivative at initial state raised {exc!r}",
-                                  last_good_time=t) from exc
-        if not all([[isfinite(k0_@)]]):
-            raise DivergenceError("derivative non-finite at initial state", last_good_time=t)
-        while t < t_end - eps_end:
-            steps += 1
-            if steps > _MAX_STEPS_PER_UNIT * (1.0 + t - t0):
-                raise StepBudgetError(f"more than {_MAX_STEPS_PER_UNIT} trial steps "
-                                      "per unit of time", last_good_time=t)
-            if h < _H_MIN:
-                if not finite:
-                    raise DivergenceError(f"trial steps stayed non-finite down to "
-                                          f"h={h:.3e} < {_H_MIN:.3e}", last_good_time=t)
-                raise StiffnessError(f"step size {h:.3e} fell below {_H_MIN:.3e}", last_good_time=t)
-            h_step = min(h, t_end - t)
-            try:
-                ts = t + c1 * h_step
-                v = u(ts)
-                k = [[k1_@]] = rhs(ts, [[y_@ + h_step * (a10 * k0_@)]], v)
-                ts = t + c2 * h_step
-                v = u(ts)
-                k = [[k2_@]] = rhs(ts, [[y_@ + h_step * (a20 * k0_@ + a21 * k1_@)]], v)
-                ts = t + c3 * h_step
-                v = u(ts)
-                k = [[k3_@]] = rhs(ts, [[y_@ + h_step * (a30 * k0_@ + a31 * k1_@ + a32 * k2_@)]], v)
-                ts = t + c4 * h_step
-                v = u(ts)
-                k = [[k4_@]] = rhs(ts, [[y_@ + h_step * (a40 * k0_@ + a41 * k1_@
-                                                         + a42 * k2_@ + a43 * k3_@)]], v)
-                ts = t + c5 * h_step
-                v = u(ts)
-                k = [[k5_@]] = rhs(ts, [[y_@ + h_step * (a50 * k0_@ + a51 * k1_@ + a52 * k2_@
-                                                         + a53 * k3_@ + a54 * k4_@)]], v)
-                # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero
-                # weight on the 7th stage, so the 7th stage runs at the new state.
-                yn_@ = y_@ + h_step * (b0 * k0_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@)
-                ts = t + c6 * h_step
-                v = u(ts)
-                k = [[k6_@]] = rhs(ts, [[yn_@]], v)
-                finite = all([[isfinite(yn_@) and isfinite(k6_@)]])
-            except ArithmeticError:
-                finite = False
-            if finite:
-                b_@ = abs(yn_@)
-                d_@ = e0 * k0_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@
-                q_@ = h_step * d_@ / (abs_tol + rel_tol * (a_@ if a_@ > b_@ else b_@))
-                s = 0.0
-                s += q_@ * q_@
-                err = math.sqrt(s / len(y))
-            else:
-                err = math.inf
+            ts = t + c1 * h_step
+            v = u(ts)
+            [[k1_@]] = rhs(ts, [[y_@ + h_step * (a10 * k0_@)]], v)
+            ts = t + c2 * h_step
+            v = u(ts)
+            [[k2_@]] = rhs(ts, [[y_@ + h_step * (a20 * k0_@ + a21 * k1_@)]], v)
+            ts = t + c3 * h_step
+            v = u(ts)
+            [[k3_@]] = rhs(ts, [[y_@ + h_step * (a30 * k0_@ + a31 * k1_@ + a32 * k2_@)]], v)
+            ts = t + c4 * h_step
+            v = u(ts)
+            [[k4_@]] = rhs(ts, [[y_@ + h_step * (a40 * k0_@ + a41 * k1_@
+                                                 + a42 * k2_@ + a43 * k3_@)]], v)
+            ts = t + c5 * h_step
+            v = u(ts)
+            [[k5_@]] = rhs(ts, [[y_@ + h_step * (a50 * k0_@ + a51 * k1_@ + a52 * k2_@
+                                                 + a53 * k3_@ + a54 * k4_@)]], v)
+            # First-same-as-last: _DP_B5 is row 6 of _DP_A with a zero
+            # weight on the 7th stage, so the 7th stage runs at the new state.
+            yn_@ = y_@ + h_step * (b0 * k0_@ + b2 * k2_@ + b3 * k3_@ + b4 * k4_@ + b5 * k5_@)
+            ts = t + c6 * h_step
+            v = u(ts)
+            [[k6_@]] = rhs(ts, [[yn_@]], v)
+            finite = all([[isfinite(yn_@) and isfinite(k6_@)]])
+        except ArithmeticError:
+            finite = False
+        if finite:
+            b_@ = abs(yn_@)
+            d_@ = e0 * k0_@ + e2 * k2_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@
+            q_@ = h_step * d_@ / (abs_tol + rel_tol * (a_@ if a_@ > b_@ else b_@))
+            s = 0.0
+            s += q_@ * q_@
+            err = math.sqrt(s / len(y))
+        else:
+            err = math.inf
 
-            if err <= 1.0:  # accept
-                t_new = t + h_step
-                if out is None:
-                    dense_t.append(t_new)
-                    dense_y.append([[yn_@]])
-                else:
-                    bound = t_new + 1e-14 * max(1.0, abs(t_new))
-                    if tg <= bound:  # record the step for the points it passes
-                        gj = gi + 1
-                        while gj < stop and grid.item(gj) <= bound:
-                            gj += 1
-                        recs.append((gi, gj, t, h_step, *[[y_@, k0_@, yn_@, k6_@]]))
-                        if len(recs) >= _BLOCK:
-                            out.flush()
-                        gi = gj
-                        tg = grid.item(gi) if gi < stop else math.inf
-                t = t_new
-                y_@ = yn_@
-                a_@ = b_@
-                k0_@ = k6_@
-                # 0.0 ** -0.2 raises in Python
-                factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-            else:  # reject and retry with a smaller step
-                factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            h = min(_H_MAX, h_step * factor)
-    except ValueError:
-        if len(k) != n:  # the unpack of k failed
-            raise ValueError(_WRONG_LENGTH.format(len(k), n)) from None
-        raise
+        if err <= 1.0:  # accept
+            t_new = t + h_step
+            if out is None:
+                dense_t.append(t_new)
+                dense_y.append([[yn_@]])
+            else:
+                bound = t_new + 1e-14 * max(1.0, abs(t_new))
+                if tg <= bound:  # record the step for the points it passes
+                    gj = gi + 1
+                    while gj < stop and grid.item(gj) <= bound:
+                        gj += 1
+                    recs.append((gi, gj, t, h_step, *[[y_@, k0_@, yn_@, k6_@]]))
+                    if len(recs) >= _BLOCK:
+                        out.flush()
+                    gi = gj
+                    tg = grid.item(gi) if gi < stop else math.inf
+            t = t_new
+            y_@ = yn_@
+            a_@ = b_@
+            k0_@ = k6_@
+            # 0.0 ** -0.2 raises in Python
+            factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+        else:  # reject and retry with a smaller step
+            factor = max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+        h = min(_H_MAX, h_step * factor)
     if out is None:
         return np.array(dense_t), np.array(dense_y)
     out.gi = gi

@@ -529,10 +529,11 @@ def _turning_rhs(turn_at, turned):
 @pytest.mark.parametrize("at", ["second copy, first call", "first copy, first stage",
                                 "second copy, first stage", "second window, first stage"])
 def test_rhs_of_the_wrong_length_in_the_pair_names_one_copys_length(monkeypatch, at):
-    # The pair calls the RHS once per copy, so a result of the wrong length
-    # is reported against one copy's 2 states, not the pair's 4; an RHS's
-    # own ValueError passes through, at the prologue's calls and in the loop
-    # alike. A window's first two calls are its prologue's.
+    # The pair calls the RHS once per copy, from the row that holds it, so a
+    # result of the wrong length fails that row's unpack against one copy's
+    # 2 states, not the pair's 4; an RHS's own ValueError passes through, at
+    # the prologue's calls and in the loop alike. A window's first two calls
+    # are its prologue's.
     if at == "second window, first stage":
         calls = []
         advance = diagnostics._advance
@@ -549,8 +550,9 @@ def test_rhs_of_the_wrong_length_in_the_pair_names_one_copys_length(monkeypatch,
     else:
         turn_at = {"second copy, first call": 2, "first copy, first stage": 3,
                    "second copy, first stage": 4}[at]
-    for turned, match in (([1.0, 2.0, 3.0], "length 3 for a state of length 2$"),
-                          ([1.0], "length 1 for a state of length 2$"),
+    # newer Pythons add ", got 3" to the first message
+    for turned, match in (([1.0, 2.0, 3.0], r"^too many values to unpack \(expected 2[,)]"),
+                          ([1.0], r"^not enough values to unpack \(expected 2, got 1\)$"),
                           (ValueError("its own"), "^its own$")):
         rhs = _turning_rhs(turn_at, turned)
         with pytest.raises(ValueError, match=match):

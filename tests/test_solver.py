@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from functools import reduce
 from operator import add, mul
@@ -21,6 +22,7 @@ from entrain.blocks import (
     Saturation,
     VectorField,
     _row_rhs,
+    _RowRhs,
     compose_autonomous,
     compose_cascade,
     compose_example1,
@@ -168,19 +170,21 @@ def test_dense_mode_returns_internal_steps():
 
 
 def test_rhs_of_the_wrong_length_is_rejected():
+    # a system's result of the wrong length fails its unpack inside the row
+    # that calls it, as a field's does under compose_autonomous and
+    # compose_cascade
     short = ComposedSystem(lambda t, z, u: [-z[0]], ("a", "b", "c"))
-    # under compose_autonomous, as under compose_cascade, a field's result
-    # of the wrong length fails its unpack inside the row
     short_field = compose_autonomous(VectorField(3, lambda z: [-z[0]]))
     for grid in (None, np.array([0.5, 1.0])):
-        with pytest.raises(ValueError, match="length 1 for a state of length 3"):
-            integrate(short, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
-        with pytest.raises(ValueError, match=r"not enough values to unpack \(expected 3, got 1\)"):
-            integrate(short_field, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
+        for sys in (short, short_field):
+            with pytest.raises(ValueError,
+                               match=r"^not enough values to unpack \(expected 3, got 1\)$"):
+                integrate(sys, U0, np.ones(3), (0.0, 1.0), output_grid=grid)
         # from its 4th call on (the first step's 3rd stage), a 2-state RHS
-        # returns one value too many or too few, or raises ValueError itself
-        for turned, match in (([1.0, 2.0, 3.0], "length 3 for a state of length 2"),
-                              ([1.0], "length 1 for a state of length 2"),
+        # returns one value too many or too few, or raises ValueError itself;
+        # newer Pythons add ", got 3" to the first message
+        for turned, match in (([1.0, 2.0, 3.0], r"^too many values to unpack \(expected 2[,)]"),
+                              ([1.0], r"^not enough values to unpack \(expected 2, got 1\)$"),
                               (ValueError("its own"), "^its own$")):
             calls = []
 
@@ -603,8 +607,8 @@ def test_row_matches_the_closure_it_replaced_bitwise(case):
 
 
 def test_row_is_offered_by_every_composed_system():
-    # a system around a field without a row offers its row too, with the
-    # field a parameter of it; only a hand-built system is called
+    # a system around a user's field offers its row too, with the field a
+    # parameter of it; so does a hand-built system, whose row calls it
     offered = [compose_example1(), compose_example2(), compose_autonomous(lorenz_field()),
                compose_autonomous(VectorField(3, _lorenz_reference)),
                compose_cascade(filter_one(), Saturation(0.1), lorenz_field(),
@@ -615,8 +619,14 @@ def test_row_is_offered_by_every_composed_system():
     for sys in offered:
         assert len(sys.rhs.row.states) == sys.dim
         assert len(sys.rhs.values) == len(sys.rhs.row.params)
-    called = ComposedSystem(lambda t, state, u: [-v for v in state], ("a",))
-    assert not hasattr(called.rhs, "row")
+    def fn(t, state, u):
+        return [-v for v in state]
+
+    called = ComposedSystem(fn, ("a", "a"))
+    assert called.rhs.row == Row(("s0", "s1"), ("f_0", "f_1"),
+                                 (("f_0, f_1,", "f(t, [s0, s1], u)"),), ("f",))
+    assert called.rhs.values == (fn,)
+    assert dataclasses.replace(called, z=(1,)).rhs is called.rhs
     # example1 is the general cascade; only K is a parameter of its row, and
     # the filter's entries are numbers in it, exact 1s and -1s folded
     for K in (0.1, 2.5):
@@ -633,7 +643,8 @@ def test_row_is_offered_by_every_composed_system():
 @pytest.mark.parametrize("copies", [1, 2])
 def test_inline_cascade_calls_a_field_without_a_row(copies):
     # the loop writes the cascade's row out and calls the field from it, once
-    # per stage and copy; the run keeps the bits of the compiled rhs, called
+    # per stage and copy; the run keeps its bits when the loop calls the
+    # cascade's compiled rhs instead, from a calling row
     calls = []
 
     def field(z):
@@ -643,29 +654,19 @@ def test_inline_cascade_calls_a_field_without_a_row(copies):
     sys = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, field))
     src = solver._dp45_source(5, copies, sys.rhs.row, Sinusoid)
     assert "rhs(" not in src
-    assert src.count("r_f1([") == 7 * copies
+    assert src.count("r_f1_f([") == 7 * copies
     written = _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies)
     n_written = len(calls)
     del calls[:]
     signal = _CountedInput(Sinusoid())
-    called = _run(lambda t, state, u: sys.rhs(t, state, u), signal, EXAMPLE_X0, copies)
+    called = _run(ComposedSystem(lambda t, state, u: sys.rhs(t, state, u), sys.state_names).rhs,
+                  signal, EXAMPLE_X0, copies)
     assert called.tobytes() == written.tobytes()
     assert len(calls) == n_written == copies * signal.calls
     # a field result of the wrong length fails its unpack inside the row
     bad = compose_cascade(filter_one(), Saturation(0.1), VectorField(3, lambda z: [0.0] * 4))
     with pytest.raises(ValueError, match="too many values to unpack"):
         _run(bad.rhs, Sinusoid(), EXAMPLE_X0, copies)
-    # a functools.wraps wrapper of a field with a row carries a copy of its
-    # row, and is called all the same, with the written-out field's bits
-    del calls[:]
-    wrapped = VectorField(3, WRAPPERS["wraps"](lorenz_field().rhs, calls))
-    sys = compose_cascade(filter_one(), Saturation(0.1), wrapped)
-    assert solver._dp45_source(5, copies, sys.rhs.row, Sinusoid).count("r_f1([") == 7 * copies
-    signal = _CountedInput(Sinusoid())
-    written = _run(compose_cascade(filter_one(), Saturation(0.1), lorenz_field()).rhs,
-                   Sinusoid(), EXAMPLE_X0, copies)
-    assert _run(sys.rhs, signal, EXAMPLE_X0, copies).tobytes() == written.tobytes()
-    assert len(calls) == copies * signal.calls
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -676,7 +677,7 @@ def test_inline_autonomous_calls_a_wrapped_field(copies):
     calls = []
     sys = compose_autonomous(VectorField(3, WRAPPERS["wraps"](lorenz_field().rhs, calls)))
     src = solver._dp45_source(3, copies, sys.rhs.row, Sinusoid)
-    assert "rhs(" not in src and src.count("r_f([") == 7 * copies
+    assert "rhs(" not in src and src.count("r_f_f([") == 7 * copies
     signal = _CountedInput(Sinusoid())
     written = _run(compose_autonomous(lorenz_field()).rhs, Sinusoid(), [1.0, 1.0, 1.0], copies)
     assert _run(sys.rhs, signal, [1.0, 1.0, 1.0], copies).tobytes() == written.tobytes()
@@ -856,7 +857,7 @@ EXAMPLE_X0 = [5.0, 0.0, 1.0, 0.0, 0.0]
 EXAMPLE2_X0 = [2.95, -0.98, 0.94, -4.07, 4.89]
 # a row that reads t, as no bundled row does
 _READS_T = ComposedSystem(_row_rhs(Row(("a",), ("u * t - a",))), ("a",))
-# hand-built systems, whose right-hand sides the loop calls
+# hand-built systems, whose calling rows the loop writes out
 _CALLED_LORENZ = ComposedSystem(lambda t, z, u: _lorenz_reference(z), ("xi", "psi", "zeta"))
 _CALLED_EXAMPLE1 = ComposedSystem(
     _cascade_reference(filter_one(), Saturation(0.1), _lorenz_reference),
@@ -948,9 +949,8 @@ def test_gridded_integrate_holds_little_besides_its_rows():
 @pytest.mark.parametrize("dim", [*range(1, 21), 64])
 def test_kernel_matches_numpy_reference_on_linear_systems(dim):
     # a random stable linear system; from 8 components on, numpy's pairwise
-    # sum would order the error norm differently. Built by hand, the loop
-    # calls it; under compose_autonomous, the loop writes out a row that
-    # calls the field.
+    # sum would order the error norm differently. Built by hand, or under
+    # compose_autonomous, the loop writes out a row that calls it.
     rng = np.random.default_rng(dim)
     M = rng.standard_normal((dim, dim))
     A = M - M.T - np.diag(rng.uniform(0.5, 3.0, dim))
@@ -963,25 +963,32 @@ def test_kernel_matches_numpy_reference_on_linear_systems(dim):
                                   output_grid=np.linspace(0.0, 3.0, 31))
 
 
+def _calling_row(n):
+    """The row that holds a hand-built n-state system: it calls ``f``."""
+    return ComposedSystem(lambda t, state, u: state, ("a",) * n).rhs.row
+
+
 @pytest.mark.parametrize("n, copies", [(1, 1), (64, 1), (5, 2)], ids=["1", "64", "5-2"])
 def test_kernel_is_compiled_once_from_its_source(n, copies):
     # n = 1 unpacks one-element lists; 64 lies past the dimensions above;
     # (5, 2) is the Lyapunov pair of the 5-state examples
-    kernel = solver._kernel(n, copies)
-    assert solver._kernel(n, copies) is kernel
-    assert solver._KERNELS[n, copies, None, None] is kernel
-    src = solver._dp45_source(n, copies)
-    assert src == solver._dp45_source(n, copies)
-    # the first derivative: one input call, one RHS call per copy; then six
-    # stages in the loop, each with one input call and one RHS call per copy
+    row = _calling_row(n)
+    kernel = solver._kernel(n, copies, row, None)
+    assert solver._kernel(n, copies, row, None) is kernel
+    assert solver._KERNELS[n, copies, row, None] is kernel
+    src = solver._dp45_source(n, copies, row)
+    assert src == solver._dp45_source(n, copies, row)
+    # the first derivative: one input call, one call of the hand-built RHS
+    # per copy; then six stages in the loop, each with one input call and
+    # one RHS call per copy
     assert src.count("u(t)") == 1
-    assert src.count(" = rhs(t, ") == copies
+    assert src.count(" = r_f(t, ") == copies
     assert src.count("v = u(ts)") == 6
-    assert src.count(" = rhs(ts, ") == 6 * copies
+    assert src.count(" = r_f(ts, ") == 6 * copies
+    unpack = ", ".join(f"r_f_{i}" for i in range(n))
     for c in range(copies):
-        own = range(c * n, c * n + n)
-        unpack, state = (", ".join(f"{name}_{i}" for i in own) for name in ("k6", "yn"))
-        assert f"k = [{unpack}] = rhs(ts, [{state}], v)" in src
+        state = ", ".join(f"yn_{i}" for i in range(c * n, c * n + n))
+        assert f"{unpack}, = r_f(ts, [{state}], v)" in src
     ns = {}
     exec(compile(src, "<test>", "exec"), vars(solver), ns)
     # co_code is the bytecode as compiled, before the interpreter specialises it
@@ -991,25 +998,18 @@ def test_kernel_is_compiled_once_from_its_source(n, copies):
 
 
 def test_source_is_pinned():
-    # the loops integrate and the Lyapunov pair run, pinned so that a
-    # template edit meant for one cannot change the other unnoticed
-    for copies, digest in (
-            (1, "d04ad7eb3d69b5f822eae2145e922da0997428671ed200ef5d9600dd8d7b77f5"),
-            (2, "f0f12b87e29de8974375a5b90c5a8b1b55718c65c89f452040cbeb7877d853ae")):
-        src = solver._dp45_source(5, copies)
-        assert hashlib.sha256(src.encode()).hexdigest() == digest
-    assert solver._dp45_source(5) == solver._dp45_source(5, 1)
-    # the Lyapunov pair's loop with example1's row and its input written out
+    # the Lyapunov pair's loop with example1's row and its input written
+    # out, pinned so that a template edit cannot change it unnoticed
     row = compose_example1().rhs.row
     for signal, digest in (
-            (Sinusoid, "7a9445a6d0bbf704c0ecd72f7f2086ce83c8b1bd5a4b50e589de74f1b9aef8e9"),
-            (Constant, "682a8d4ad01c7ac2303380e0a9b8b3e0fb9f50acc11129266dc3f3a6add18d0a")):
+            (Sinusoid, "536615c37fb661b9568b8cf8d3c3e5731598e33e41a246a134b5ddd9c1eebb63"),
+            (Constant, "33e244aaa9bce101e158aa61e27b38b608e8151de2ac40a41a38a6ee167e3908")):
         src = solver._dp45_source(5, 2, row, signal)
         assert hashlib.sha256(src.encode()).hexdigest() == digest
 
 
-# (n, copies, system, input class): the loops with a row and an input
-# written out, besides the called ones
+# (n, copies, system, input class): loops with a row, and an input or none,
+# written out
 INLINED_SOURCES = {
     "example1-sin-2": (5, 2, compose_example1, Sinusoid),
     "example1-const-2": (5, 2, compose_example1, Constant),
@@ -1019,21 +1019,20 @@ INLINED_SOURCES = {
     "interp-lorenz-const-2": (5, 2, lambda: compose_cascade(
         filter_one(), Saturation(1e-4), lorenz_field(), stable_linear_field()), Constant),
     "lorenz-const-2": (3, 2, lambda: compose_autonomous(lorenz_field()), Constant),
-    "called-rhs-sin-1": (3, 1, None, Sinusoid),
     "reads-t-const-1": (1, 1, lambda: _READS_T, Constant),
 }
 
 
 def _inlined_source(case):
     n, copies, build, signal = INLINED_SOURCES[case]
-    row = None if build is None else build().rhs.row
+    row = build().rhs.row
     return solver._dp45_source(n, copies, row, signal), row, signal
 
 
 @pytest.mark.parametrize("n, copies", [(1, 1), (3, 2), (5, 2), (64, 1)])
 def test_source_has_no_template_marker_left(n, copies):
     # a leftover [[...]] would still compile, as a nested list
-    src = solver._dp45_source(n, copies)
+    src = solver._dp45_source(n, copies, _calling_row(n))
     for marker in ("[[", "]]", "@"):
         assert marker not in src
 
@@ -1044,12 +1043,12 @@ def test_inlined_source_has_no_template_marker_left(case):
     for marker in ("[[", "]]", "@"):
         assert marker not in src
     # what is written out is no longer called; the rest still is
-    assert ("rhs(" in src) == (row is None)
+    assert "rhs(" not in src
     assert ("u(t" in src) == (signal is None)
     # parameter values are read on entry, never written into the source
-    assert ("rhs.values" in src) == (row is not None and bool(row.params))
+    assert ("rhs.values" in src) == bool(row.params)
     # the stage times are computed only where something reads them
-    reads_t = row is None or signal is not Constant or "t" in _NAME.findall(" ".join(row.exprs))
+    reads_t = signal is not Constant or "t" in _NAME.findall(" ".join(row.exprs))
     assert src.count("ts = t + c") == 6 * reads_t
     compile(src, "<test>", "exec")
 
@@ -1104,12 +1103,23 @@ class _Forwarding:
         return getattr(self.fn, name)
 
 
+class _Forged(_Forwarding):
+    """Calls ``fn``, recording each call, and carries ``fn``'s row and values
+    as attributes of its own."""
+
+    def __init__(self, fn, calls):
+        super().__init__(fn, calls)
+        self.row, self.values = fn.row, fn.values
+
+
 # wrapper kind -> wrap(fn, calls), a callable that records its calls in
-# ``calls`` and returns fn's result; "wraps" copies fn's row and values
+# ``calls`` and returns fn's result; "proxy" and "forged" show fn's row and
+# values as their own
 WRAPPERS = {
     "plain": _plain,
     "wraps": lambda fn, calls: functools.wraps(fn)(_plain(fn, calls)),
     "proxy": _Forwarding,
+    "forged": _Forged,
 }
 
 
@@ -1118,12 +1128,17 @@ WRAPPERS = {
     for kind in WRAPPERS for copies in (1, 2)])
 def test_inline_leaves_wrapped_callables_called(kind, copies):
     # a wrapper that dataclasses.replace puts in place of a bundled rhs, as a
-    # tracer does, is called once per copy for the first derivative and six
-    # times per trial step, and the run keeps the inlined run's bits; so is
-    # one that copies the rhs's attributes or forwards lookups to it
+    # tracer does, is held in a calling row, called once per copy for the
+    # first derivative and six times per trial step, and the run keeps the
+    # inlined run's bits; so is one that copies the rhs's attributes or
+    # forwards lookups to it: only a built rhs's type marks its row
     sys = compose_example1()
     calls = []
-    traced = dataclasses.replace(sys, rhs=WRAPPERS[kind](sys.rhs, calls))
+    wrapper = WRAPPERS[kind](sys.rhs, calls)
+    traced = dataclasses.replace(sys, rhs=wrapper)
+    assert traced.rhs.values == (wrapper,)
+    src = solver._dp45_source(5, copies, traced.rhs.row, Sinusoid)
+    assert src.count("r_f(") == 7 * copies and "rhs(" not in src
     signal = _CountedInput(Sinusoid())
     inlined = _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies)
     assert _run(traced.rhs, signal, EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
@@ -1141,7 +1156,42 @@ def test_inline_leaves_wrapped_callables_called(kind, copies):
     assert _run(sys.rhs, _LoudSinusoid(), EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
     assert _LoudSinusoid.calls == 1 + 6 * trials
     assert (5, copies, sys.rhs.row, None) in solver._KERNELS
-    assert (5, copies, None, None) in solver._KERNELS
+    assert (5, copies, traced.rhs.row, None) in solver._KERNELS
+    # the same wrapper around a field's rhs is called from the cascade's row
+    del calls[:]
+    field = VectorField(3, WRAPPERS[kind](lorenz_field().rhs, calls))
+    wrapped = compose_cascade(filter_one(), Saturation(0.1), field)
+    src = solver._dp45_source(5, copies, wrapped.rhs.row, Sinusoid)
+    assert src.count("r_f1_f(") == 7 * copies and "rhs(" not in src
+    signal = _CountedInput(Sinusoid())
+    assert _run(wrapped.rhs, signal, EXAMPLE_X0, copies).tobytes() == inlined.tobytes()
+    assert len(calls) == copies * signal.calls
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_kernel_runs_a_traced_system_through_its_calling_row(copies):
+    # a benchmark tracer times each RHS call with a closure that
+    # dataclasses.replace puts in place of example1's rhs; the step loop
+    # calls that closure from the row that holds it, once per copy for the
+    # first derivative and six times per trial step, with the untraced bits
+    sys = compose_example1()
+    inner, tally = sys.rhs, {"calls": 0, "s": 0.0}
+
+    def rhs(t, state, u):
+        t0 = time.perf_counter()
+        out = inner(t, state, u)
+        tally["calls"] += 1
+        tally["s"] += time.perf_counter() - t0
+        return out
+
+    traced = dataclasses.replace(sys, rhs=rhs)
+    assert type(traced.rhs) is _RowRhs and traced.rhs.values == (rhs,)
+    signal = _CountedInput(Sinusoid())
+    rows = _run(traced.rhs, signal, EXAMPLE_X0, copies)
+    assert rows.tobytes() == _run(sys.rhs, Sinusoid(), EXAMPLE_X0, copies).tobytes()
+    trials = (signal.calls - 1) // 6
+    assert signal.calls == 1 + 6 * trials and trials > 10
+    assert tally["calls"] == copies * (1 + 6 * trials)
 
 
 def test_row_of_another_length_is_rejected_where_its_system_is_built():
@@ -1196,7 +1246,8 @@ def test_pair_initial_derivative_of_the_second_copy_alone_is_a_divergence(turn):
         return [math.inf] if turn == "non-finite" else [1.0 / (state[0] - 2.0)]
 
     with pytest.raises(DivergenceError) as err:
-        solver._advance(rhs, U0, [1.0, 2.0], 1, 0.5, 1.0, IntegratorConfig(), None)
+        solver._advance(ComposedSystem(rhs, ("a",)).rhs, U0, [1.0, 2.0], 1, 0.5, 1.0,
+                        IntegratorConfig(), None)
     assert err.value.last_good_time == 0.5
     if turn == "raises":
         assert isinstance(err.value.__cause__, ZeroDivisionError)
