@@ -21,11 +21,12 @@ Every ``ComposedSystem`` and ``VectorField`` holds a row. A row becomes
 the ``rhs`` it describes when the block is built: a ``_RowRhs``, which
 carries the row and its parameter values as ``row`` and ``values`` for the
 solver's generated step loop to write out, and is rejected by a system or
-field of another number of states. Any other callable, a user's function
-or a wrapper of a built ``rhs`` alike, even one made by ``functools.wraps``
-or that forwards attribute lookups, is wrapped in a calling row: a
-parameter ``f`` that the row calls once and unpacks, so a result of the
-wrong length fails that unpack.
+field of another number of states, or by one that calls it another way: a
+field's ``rhs(z)`` is no system's ``rhs(t, state, u)``, nor the reverse.
+Any other callable, a user's function or a wrapper of a built ``rhs``
+alike, even one made by ``functools.wraps`` or that forwards attribute
+lookups, is wrapped in a calling row: a parameter ``f`` that the row calls
+once and unpacks, so a result of the wrong length fails that unpack.
 
 Every right-hand side here, a system's ``rhs(t, state, u)`` and a vector
 field's ``rhs(z)`` alike, takes the state as a list of Python floats and
@@ -156,15 +157,15 @@ def _binder(row: Row, args: str):
 
 
 class _RowRhs:
-    """A right-hand side compiled from ``row`` with its params bound to
-    ``values``; the solver's step loop writes ``row`` out in place of the
-    call. Only ``_row_rhs`` makes one, so a wrapper of one, whatever
-    attributes it copies or forwards, is another callable."""
+    """A right-hand side compiled from ``row`` as ``rhs(args)`` with its
+    params bound to ``values``; the solver's step loop writes ``row`` out in
+    place of the call. Only ``_row_rhs`` makes one, so a wrapper of one,
+    whatever attributes it copies or forwards, is another callable."""
 
-    __slots__ = ("row", "values", "fn")
+    __slots__ = ("row", "values", "args", "fn")
 
-    def __init__(self, row: Row, values, fn):
-        self.row, self.values, self.fn = row, values, fn
+    def __init__(self, row: Row, values, args: str, fn):
+        self.row, self.values, self.args, self.fn = row, values, args, fn
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -172,14 +173,15 @@ class _RowRhs:
 
 def _row_rhs(row: Row, values=(), args: str = "t, state, u") -> _RowRhs:
     """``row`` compiled as ``rhs(args)`` with its params bound to ``values``."""
-    return _RowRhs(row, tuple(values), _binder(row, args)(*values))
+    return _RowRhs(row, tuple(values), args, _binder(row, args)(*values))
 
 
 def _as_row_rhs(rhs, n: int, what: str, args: str) -> _RowRhs:
-    """``rhs`` if ``_row_rhs`` built it for n states; any other callable as
-    the row that calls it once, as ``f(args)`` with the state a list of the
-    n floats, and unpacks its result, so one of the wrong length fails there.
-    The states are ``s0, s1, ...``, whatever the columns are called."""
+    """``rhs`` if ``_row_rhs`` built it as ``rhs(args)`` for n states; any
+    other callable as the row that calls it once, as ``f(args)`` with the
+    state a list of the n floats, and unpacks its result, so one of the
+    wrong length fails there. The states are ``s0, s1, ...``, whatever the
+    columns are called."""
     if type(rhs) is not _RowRhs:
         ss = tuple(f"s{i}" for i in range(n))
         fs = tuple(f"f_{i}" for i in range(n))
@@ -189,6 +191,9 @@ def _as_row_rhs(rhs, n: int, what: str, args: str) -> _RowRhs:
     if len(rhs.row.states) != n:
         raise ValueError(f"rhs was built for {len(rhs.row.states)} states, not the {n} "
                          f"of this {what}")
+    if rhs.args != args:
+        raise ValueError(f"rhs was built as rhs({rhs.args}), not the rhs({args}) "
+                         f"of a {what}")
     return rhs
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .blocks import filter_one
 from .diagnostics import (
+    _VERDICT_CFG,
     detect_steady_state,
     lyapunov_max,
     monte_carlo,
@@ -229,10 +230,12 @@ def _cmd_freqresp(args) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser, out_dir: bool = True) -> None:
-    defaults = IntegratorConfig()
-    p.add_argument("--rel-tol", type=float, default=defaults.rel_tol)
-    p.add_argument("--abs-tol", type=float, default=defaults.abs_tol)
+def _add_common_flags(p: argparse.ArgumentParser, defaults: IntegratorConfig,
+                      out_dir: bool = True) -> None:
+    p.add_argument("--rel-tol", type=float, default=defaults.rel_tol,
+                   help="integrator relative tolerance (default: %(default)g)")
+    p.add_argument("--abs-tol", type=float, default=defaults.abs_tol,
+                   help="integrator absolute tolerance (default: %(default)g)")
     if out_dir:
         p.add_argument("--out-dir", default=os.environ.get("ENTRAIN_OUT_DIR", "."),
                        help="output directory (default: $ENTRAIN_OUT_DIR or .)")
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grid-step", type=float, default=0.01)
     sim.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset)")
-    _add_common_flags(sim)
+    _add_common_flags(sim, IntegratorConfig())
     sim.set_defaults(func=_cmd_simulate)
 
     lya = sub.add_parser("lyapunov", help="largest Lyapunov exponent as JSON")
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     lya.add_argument("--K", type=float, default=None,
                      help="saturation constant (default: scenario preset); "
                           "not with --system")
-    _add_common_flags(lya, out_dir=False)
+    _add_common_flags(lya, _VERDICT_CFG, out_dir=False)
     lya.set_defaults(func=_cmd_lyapunov)
 
     mc = sub.add_parser("montecarlo", help="random input/IC sweep to JSONL")
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--n", type=int, required=True)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--jobs", type=int, default=1)
-    _add_common_flags(mc)
+    _add_common_flags(mc, _VERDICT_CFG)
     mc.set_defaults(func=_cmd_montecarlo)
 
     fr = sub.add_parser("freqresp", help="front-end filter frequency response, "

@@ -313,7 +313,7 @@ def _advance(rhs, u, y0, n, t0, t_end, cfg, out=None, stop=None, end=None):
     # The kernel handles non-finite values itself; numpy warnings from an RHS
     # such as ``(A @ z).tolist()`` (say, on a rejected trial step) are noise.
     with np.errstate(all="ignore"):
-        y = _kernel(n, len(y0) // n, rhs.row, signal)(rhs, u, y0, n, t0, t_end, cfg, out, stop)
+        y = _kernel(n, len(y0) // n, rhs.row, signal)(rhs, u, y0, t0, t_end, cfg, out, stop)
         if out is not None:
             out.fill(y, end)
     return y
@@ -396,7 +396,7 @@ def _dp45_source(n, copies, row, signal=None):
 
 
 _DP45_LOOP = """\
-def dp45_loop(rhs, u, y, n, t, t_end, cfg, out, stop):
+def dp45_loop(rhs, u, y, t, t_end, cfg, out, stop):
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \\
         (a50, a51, a52, a53, a54), (b0, _, b2, b3, b4, b5) = _DP_A[1:]
     e0, _, e2, e3, e4, e5, e6 = _DP_ERR

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from entrain import diagnostics, scenarios, solver
+from entrain import cli, diagnostics, scenarios, solver
 from entrain.blocks import (
     ComposedSystem,
     Saturation,
@@ -124,7 +125,7 @@ def test_lyapunov_max_bits_are_pinned():
     # no numpy blocking or BLAS kernel choice can move a bit.
     est = lyapunov_max(build_system("example1"), Sinusoid(), [5.0, 0.0, 1.0, 0.0, 0.0],
                        transient=10.0, horizon=60.0)
-    assert est.lambda_max.hex() == "0x1.53a982f24ef40p-2"  # 0.33170132259305163
+    assert est.lambda_max.hex() == "0x1.f5c9c64e7e764p-3"  # 0.24501376082462933
 
 
 def test_lorenz_reference_lyapunov_bits_are_pinned():
@@ -132,7 +133,7 @@ def test_lorenz_reference_lyapunov_bits_are_pinned():
     # "chaotic" reads; compose_autonomous writes its row out in the loop
     sys, x0 = scenarios.build_reference_system("lorenz")
     est = lyapunov_max(sys, Constant(0.0), x0, transient=10.0, horizon=60.0)
-    assert est.lambda_max.hex() == "0x1.b15865a8d969ap-1"
+    assert est.lambda_max.hex() == "0x1.bfb401e88a85ap-1"  # 0.8744202228892946
 
 
 def test_steady_grid_rows_are_pinned():
@@ -143,7 +144,7 @@ def test_steady_grid_rows_are_pinned():
                             np.array(EXAMPLE_X0["example1"]), ss_horizon=12.34)
     assert rec.trajectory.states.shape == (248, 5)
     assert hashlib.sha256(rec.trajectory.states.tobytes()).hexdigest() == (
-        "4f36792ddb0a47bcc26828b2eaf5c3499914bbd3c2cd675b85480fe1fdb979d9")
+        "1c12a7dc66052fc249f64b323609416a0f497e57435b9d0fffcf9f724c5b98a5")
 
 
 @pytest.mark.parametrize("block", [1, 2, 7])
@@ -271,24 +272,29 @@ def test_classify_skips_lyapunov_when_converged():
 
 def test_collapsed_perturbation_leaves_verdict_to_steady_state_test():
     # -100 (z - 1) snaps both copies onto z = 1 bitwise, so the separation
-    # becomes exactly zero and no exponent can be measured
+    # becomes exactly zero and no exponent can be measured. That holds at
+    # rel_tol 1e-8. At the verdicts' default 1e-6 the 1e-8 separation lies
+    # below what the error control sees, and the copies never meet: each
+    # window reads a log growth of about 2.6e-7. The collapse branch does
+    # not depend on the tolerance, so these runs pass IntegratorConfig()
+    cfg = IntegratorConfig()
     snap = compose_autonomous(VectorField(1, lambda z: [-100.0 * (v - 1.0) for v in z]))
     with pytest.raises(ValueError, match="collapsed"):
-        lyapunov_max(snap, U0, np.array([5.0]))
-    rec = classify_response(snap, U0, np.array([5.0]), always_lyapunov=True)
+        lyapunov_max(snap, U0, np.array([5.0]), cfg)
+    rec = classify_response(snap, U0, np.array([5.0]), cfg, always_lyapunov=True)
     assert rec.verdict == "steady_state"
     assert rec.lyapunov is None
     assert rec.steady.converged
     # same collapse, but a second component drifts forever: no verdict
     drift = compose_autonomous(
         VectorField(2, lambda z: [-100.0 * (z[0] - 1.0), 1.0]))
-    rec = classify_response(drift, U0, np.array([5.0, 0.0]))
+    rec = classify_response(drift, U0, np.array([5.0, 0.0]), cfg)
     assert rec.verdict == "inconclusive"
     assert rec.lyapunov is None
     assert not rec.steady.converged
     # argument errors are still the caller's to see
     with pytest.raises(ValueError, match="renorm_dt"):
-        classify_response(snap, U0, np.array([5.0]), always_lyapunov=True,
+        classify_response(snap, U0, np.array([5.0]), cfg, always_lyapunov=True,
                           lyapunov_opts={"renorm_dt": -1.0})
 
 
@@ -406,13 +412,13 @@ def test_converged_leg_stops_after_the_window_holding_ss_horizon(
 
 def test_sequential_verdict_bits_are_pinned():
     # the sin t leg stops at t = 200, its first check: lambda averages
-    # windows 201-400 and lies 6.7 standard errors above 0.05
+    # windows 201-400 and lies 5.6 standard errors above 0.05
     rec = classify_response(build_system("example1"), Sinusoid(),
                             np.array(EXAMPLE_X0["example1"]))
     assert rec.verdict == VERDICT_CHAOTIC
-    assert rec.lyapunov.lambda_max.hex() == "0x1.0f5ac51ef91acp-1"  # 0.5299893951710621
+    assert rec.lyapunov.lambda_max.hex() == "0x1.19f186f3ab89fp-1"  # 0.5506708309601612
     assert rec.lyapunov.renorm_count == 200
-    assert rec.lyapunov.stderr == pytest.approx(0.0719, abs=1e-4)
+    assert rec.lyapunov.stderr == pytest.approx(0.0896, abs=1e-4)
 
 
 @pytest.mark.parametrize("name", SCENARIO_IDS)
@@ -445,8 +451,8 @@ def test_leg_near_a_boundary_runs_to_the_horizon(monkeypatch):
     calls = _record_pair_calls(monkeypatch)
     rec = classify_response(sys, Sinusoid(), np.array([5.0, 0.0, 1.0, 1.0, 0.0]))
     est = rec.lyapunov
-    assert est.lambda_max == pytest.approx(0.0397, abs=5e-4)
-    assert est.stderr == pytest.approx(0.0063, abs=5e-4)
+    assert est.lambda_max == pytest.approx(0.0410, abs=5e-4)
+    assert est.stderr == pytest.approx(0.0099, abs=5e-4)
     assert abs(est.lambda_max - 0.05) < 5.0 * est.stderr
     assert est.renorm_count == 600
     assert len(calls) == 800
@@ -464,12 +470,28 @@ def test_slow_clock_leg_runs_to_the_horizon():
     assert rec.lyapunov.renorm_count == 600
     assert rec.lyapunov == full.lyapunov
     assert 25.0 < rec.field_time < 30.0
-    assert rec.verdict == full.verdict == VERDICT_CHAOTIC
+    assert rec.verdict == full.verdict
+    # The exponent lies within a standard error of the absolute 0.05, so
+    # this horizon cannot tell chaos from an oscillation: it read
+    # 0.0585 +- 0.0193, chaotic_like, at rel_tol 1e-8 and reads
+    # 0.0480 +- 0.0216, sustained_oscillation, at the default 1e-6
+    est = rec.lyapunov
+    assert abs(est.lambda_max - diagnostics.CHAOS_THRESHOLD) < est.stderr
+    assert rec.verdict in (VERDICT_CHAOTIC, VERDICT_OSCILLATION)
+    # Eight times the horizon resolves it: chaotic_like at both
+    # tolerances, 0.0777 +- 0.0054 at 1e-8 and 0.0829 +- 0.0064 here, where
+    # the sequential stop fires at window 702 of 5600
+    long = classify_response(sys, Sinusoid(0.2, 1.0), x0,
+                             lyapunov_opts={"transient": 400.0, "horizon": 3200.0})
+    assert long.verdict == VERDICT_CHAOTIC
+    assert long.lyapunov.lambda_max == pytest.approx(0.0829, abs=5e-4)
+    assert long.lyapunov.renorm_count < 5600
+    assert long.field_time >= 30.0
 
 
 def test_leg_with_too_little_field_time_is_inconclusive():
     # 300 units of t hold about 22 units of the z block's time at A = 0.18,
-    # where the exponent reads 0.0306 +- 0.0086, which the absolute rule
+    # where the exponent reads 0.0319 +- 0.0104, which the absolute rule
     # calls an oscillation, while long runs read about 0.067, chaotic_like
     rec = classify_response(build_system("example1"), Sinusoid(0.18, 1.0),
                             np.array(EXAMPLE_X0["example1"]))
@@ -614,6 +636,38 @@ def test_pair_divergence_before_ss_horizon_leaves_no_steady_report():
     rec = classify_response(settles, U0, np.array([1.0, 2.0]), ss_horizon=20.0)
     assert rec.verdict == VERDICT_DIVERGENCE
     assert rec.steady is None and rec.trajectory is None and rec.lyapunov is None
+
+
+# ------------------------------------------------------------ verdict tolerance
+
+def test_verdicts_agree_across_tolerances():
+    # The diagnostics run at rel_tol 1e-6 by default, trajectories at 1e-8.
+    # An exponent's standard error at the sequential stop is 0.04-0.09, so
+    # the looser tolerance may move it only by a fraction of that, and it
+    # must move no verdict of the paper's dichotomy on either demo system
+    verdict_cfg = diagnostics._VERDICT_CFG
+    assert verdict_cfg == IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8)
+    assert IntegratorConfig() == IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10)
+    assert inspect.signature(integrate).parameters["cfg"].default == IntegratorConfig()
+    for fn in (classify_response, lyapunov_max, monte_carlo):
+        assert inspect.signature(fn).parameters["cfg"].default is verdict_cfg
+    for argv, cfg in ((["lyapunov", "--scenario", "example1"], verdict_cfg),
+                      (["montecarlo", "--scenario", "example1", "--n", "1"], verdict_cfg),
+                      (["simulate", "--scenario", "example1"], IntegratorConfig())):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.rel_tol, args.abs_tol) == (cfg.rel_tol, cfg.abs_tol)
+
+    for name in ("example1", "example2"):
+        sys, x0 = build_system(name), np.array(EXAMPLE_X0[name])
+        for signal, verdict in ((Sinusoid(), VERDICT_CHAOTIC),
+                                (Constant(3.0), VERDICT_STEADY_STATE)):
+            tight = classify_response(sys, signal, x0, IntegratorConfig())
+            loose = classify_response(sys, signal, x0)
+            assert tight.verdict == loose.verdict == verdict
+            if verdict == VERDICT_STEADY_STATE:
+                continue
+            a, b = tight.lyapunov, loose.lyapunov
+            assert abs(a.lambda_max - b.lambda_max) < 3.0 * math.hypot(a.stderr, b.stderr)
 
 
 # ----------------------------------------------------------------- monte carlo

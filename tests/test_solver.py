@@ -1002,8 +1002,8 @@ def test_source_is_pinned():
     # out, pinned so that a template edit cannot change it unnoticed
     row = compose_example1().rhs.row
     for signal, digest in (
-            (Sinusoid, "536615c37fb661b9568b8cf8d3c3e5731598e33e41a246a134b5ddd9c1eebb63"),
-            (Constant, "33e244aaa9bce101e158aa61e27b38b608e8151de2ac40a41a38a6ee167e3908")):
+            (Sinusoid, "f11549af5e8cb06694ce5a2bb73a399a97a134eb2521e5087278b073f432c4b7"),
+            (Constant, "a2429688f85522c8f896feedefc2ce56ff8a6d9b6bd0b08f16a6eede911ab64a")):
         src = solver._dp45_source(5, 2, row, signal)
         assert hashlib.sha256(src.encode()).hexdigest() == digest
 
@@ -1203,6 +1203,21 @@ def test_row_of_another_length_is_rejected_where_its_system_is_built():
         VectorField(4, lorenz_field().rhs)
     with pytest.raises(ValueError, match="built for 1 states, not the 2 of this system"):
         ComposedSystem(_READS_T.rhs, ("a", "b"))
+
+
+def test_row_of_a_field_is_rejected_as_a_systems_rhs():
+    # Lorenz's row is compiled as rhs(state); as a system's rhs(t, state, u)
+    # the loop would write it out, while a direct call raised TypeError
+    with pytest.raises(ValueError, match=r"built as rhs\(state\), not the "
+                                         r"rhs\(t, state, u\) of a system"):
+        ComposedSystem(lorenz_field().rhs, ("a", "b", "c"))
+
+
+def test_row_of_a_system_is_rejected_as_a_fields_rhs():
+    # example1's row reads the input u, which a field's row has not
+    with pytest.raises(ValueError, match=r"built as rhs\(t, state, u\), not the "
+                                         r"rhs\(state\) of a field"):
+        VectorField(5, compose_example1().rhs)
 
 
 def test_inline_kernels_do_not_grow_with_parameter_values(monkeypatch):
